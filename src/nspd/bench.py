@@ -125,13 +125,11 @@ def gen_game(cfg: GameConfig) -> MatrixGame:
         seed += 1  # all-zero draw: retry with the next seed
     K = np.zeros((cfg.n, cfg.p))
     K[mask] = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
-    op = LinearMap.from_dense(K)
-    sigma = estimate_norm(op, tol=1e-14, max_iters=50_000, seed=0).value
-    op = LinearMap.from_dense(K / sigma)
-    # re-estimate so the stored norm reflects the rescaled operator
-    norm = estimate_norm(op, tol=1e-14, max_iters=50_000, seed=0).value
-    op._norm = norm
-    return MatrixGame(op)
+    sigma = estimate_norm(LinearMap.from_dense(K), tol=1e-14,
+                          max_iters=50_000, seed=0).value
+    # sigma is converged to 1e-14, so K / sigma has unit norm to that
+    # accuracy: no second estimate is needed
+    return MatrixGame(LinearMap.from_dense(K / sigma, norm_estimate=1.0))
 
 
 # -- experiment harness -------------------------------------------------------------
@@ -156,7 +154,8 @@ class VariantResult:
     slope: Optional[float]
     certificate: Optional[dict]
     certificate_ok: Optional[bool]
-    error: Optional[str] = None
+    error: Optional[str]
+    wall_s: float  # solve plus trace CSV write, as timed by _run_variant
 
 
 def _slope_or_none(trace, column, offset, k_lo, k_hi):
@@ -249,7 +248,7 @@ def _run_lad_case1(spec: ExperimentSpec) -> dict:
         opts = pd_general.GeneralOptions(c=c, gamma=gamma, rho0=rho0,
                                       max_iters=spec.max_iters,
                                       trace_every=spec.trace_every)
-        err, _ = _run_variant(label, lambda: pd_general.solve(
+        err, wall = _run_variant(label, lambda: pd_general.solve(
             problem, x0, y0, opts, recorder=rec), trace, spec.out_dir)
         cert = None
         ok = None
@@ -267,7 +266,7 @@ def _run_lad_case1(spec: ExperimentSpec) -> dict:
             label,
             trace.F[-1] - ref.F if trace.F else float("nan"),
             _slope_or_none(trace, "F", ref.F, k_lo, k_hi),
-            cert.to_dict() if cert else None, ok, err))
+            cert.to_dict() if cert else None, ok, err, wall))
 
     for scale in (0.1, 1.0, 10.0):
         label = f"cp_rho{scale:g}"
@@ -276,12 +275,13 @@ def _run_lad_case1(spec: ExperimentSpec) -> dict:
         cfg_b = baselines.BaselineConfig(
             rho=scale * rho0, beta=gamma / (norm_K ** 2 * scale * rho0),
             max_iters=spec.max_iters, trace_every=spec.trace_every)
-        err, _ = _run_variant(label, lambda: baselines.solve_cp(
+        err, wall = _run_variant(label, lambda: baselines.solve_cp(
             problem, x0, y0, cfg_b, recorder=rec), trace, spec.out_dir)
         variants.append(VariantResult(
             label,
             trace.F[-1] - ref.F if trace.F else float("nan"),
-            _slope_or_none(trace, "F", ref.F, k_lo, k_hi), None, None, err))
+            _slope_or_none(trace, "F", ref.F, k_lo, k_hi), None, None, err,
+            wall))
 
     for scale in (0.5, 10.0, 30.0):
         label = f"admm_rho{scale:g}"
@@ -290,12 +290,13 @@ def _run_lad_case1(spec: ExperimentSpec) -> dict:
         cfg_b = baselines.BaselineConfig(rho=scale * rho0,
                                          max_iters=spec.max_iters,
                                          trace_every=spec.trace_every)
-        err, _ = _run_variant(label, lambda: baselines.solve_admm(
+        err, wall = _run_variant(label, lambda: baselines.solve_admm(
             problem, x0, y0, cfg_b, recorder=rec), trace, spec.out_dir)
         variants.append(VariantResult(
             label,
             trace.F[-1] - ref.F if trace.F else float("nan"),
-            _slope_or_none(trace, "F", ref.F, k_lo, k_hi), None, None, err))
+            _slope_or_none(trace, "F", ref.F, k_lo, k_hi), None, None, err,
+            wall))
 
     report = _summary(variants, certs, True, spec.check)
     report["reference"] = ref.to_dict() | {"rho0_auto": float(rho0)}
@@ -337,7 +338,7 @@ def _run_lad_case2(spec: ExperimentSpec) -> dict:
     for label, opts, certify in strong_variants:
         trace = metrics.Trace()
         rec = metrics.composite_recorder(problem, trace)
-        err, _ = _run_variant(label, lambda: pd_strong.solve(
+        err, wall = _run_variant(label, lambda: pd_strong.solve(
             problem, x0, y0, opts, recorder=rec), trace, spec.out_dir)
         cert, ok = None, None
         if err is None and certify:
@@ -358,7 +359,7 @@ def _run_lad_case2(spec: ExperimentSpec) -> dict:
             label,
             trace.F[-1] - ref.F if trace.F else float("nan"),
             _slope_or_none(trace, "F", ref.F, k_lo, k_hi),
-            cert.to_dict() if cert else None, ok, err))
+            cert.to_dict() if cert else None, ok, err, wall))
 
     rho_cp = 1.0 / norm_K
     for scale in (0.01, 0.75, 1.0, 5.0):
@@ -368,12 +369,13 @@ def _run_lad_case2(spec: ExperimentSpec) -> dict:
         cfg_b = baselines.BaselineConfig(rho=scale * rho_cp, mu_f=mu_f,
                                          max_iters=spec.max_iters,
                                          trace_every=spec.trace_every)
-        err, _ = _run_variant(label, lambda: baselines.solve_cp_scvx(
+        err, wall = _run_variant(label, lambda: baselines.solve_cp_scvx(
             problem, x0, y0, cfg_b, recorder=rec), trace, spec.out_dir)
         variants.append(VariantResult(
             label,
             trace.F[-1] - ref.F if trace.F else float("nan"),
-            _slope_or_none(trace, "F", ref.F, k_lo, k_hi), None, None, err))
+            _slope_or_none(trace, "F", ref.F, k_lo, k_hi), None, None, err,
+            wall))
 
     report = _summary(variants, certs, True, spec.check)
     report["reference"] = ref.to_dict()
@@ -403,7 +405,7 @@ def _run_game(spec: ExperimentSpec) -> dict:
         opts = pd_general.GeneralOptions(c=c, gamma=0.5, rho0=1.0 / norm_K,
                                       max_iters=spec.max_iters,
                                       trace_every=spec.trace_every)
-        err, _ = _run_variant(label, lambda: pd_general.solve(
+        err, wall = _run_variant(label, lambda: pd_general.solve(
             problem, x0, y0, opts, recorder=rec), trace, spec.out_dir)
         cert, ok = None, None
         if err is None and c == 1.0:
@@ -423,13 +425,13 @@ def _run_game(spec: ExperimentSpec) -> dict:
             label,
             trace.gap[-1] if trace.gap else float("nan"),
             _slope_or_none(trace, "gap", 0.0, k_lo, k_hi),
-            cert.to_dict() if cert else None, ok, err))
+            cert.to_dict() if cert else None, ok, err, wall))
 
     for mu_scale in (0.2, 1.0, 5.0):
         label = f"smoothing_mu{mu_scale:g}"
         trace = metrics.Trace()
         rec = metrics.game_recorder(game, trace)
-        err, _ = _run_variant(label, lambda: baselines.smoothing_solve(
+        err, wall = _run_variant(label, lambda: baselines.smoothing_solve(
             game, spec.epsilon, mu_scale=mu_scale, recorder=rec),
             trace, spec.out_dir)
         variants.append(VariantResult(
@@ -437,7 +439,7 @@ def _run_game(spec: ExperimentSpec) -> dict:
             trace.gap[-1] if trace.gap else float("nan"),
             _slope_or_none(trace, "gap", 0.0, k_lo,
                            trace.k[-1] if trace.k else k_hi),
-            None, None, err))
+            None, None, err, wall))
 
     report = _summary(variants, certs, True, spec.check)
     report["smoothing_iterations"] = baselines.smoothing_iterations(

@@ -1,10 +1,11 @@
 """Linear operators with adjoints and spectral-norm estimation.
 
 Solvers consume operators only through :class:`LinearMap`, which bundles a
-forward map, its adjoint, and a spectral-norm estimate.  Two concrete
-constructions are provided (dense row-major matrices and sparse triplets)
-plus identity and zero maps.  Operators are immutable after construction and
-safe to share across threads; ``apply``/``adjoint_apply`` are reentrant.
+forward map, its adjoint, and a spectral-norm estimate (a Lanczos Ritz
+value, see :func:`estimate_norm`).  Two concrete constructions are provided
+(dense row-major matrices and sparse triplets) plus identity and zero maps.
+Operators are immutable after construction and safe to share across
+threads; ``apply``/``adjoint_apply`` are reentrant.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ class LinearMap:
     adjoint : callable
         Maps a ``rows``-vector to a ``cols``-vector.
     norm_estimate : float, optional
-        Upper estimate of the spectral norm.  If omitted it is computed
-        lazily by the power method on first access of :attr:`norm`.
+        Estimate of the spectral norm.  If omitted it is computed lazily on
+        first access of :attr:`norm` by :func:`estimate_norm`, which returns
+        a *lower* estimate (a Ritz value) converged to its ``tol``.
     norm_is_exact : bool
         True when ``norm_estimate`` is exact (identity, zero, user-supplied).
     kind : str
@@ -142,14 +144,19 @@ class LinearMap:
         return np.stack(cols, axis=1)
 
     def scaled(self, alpha) -> "LinearMap":
-        """Return alpha * K with a rescaled norm estimate."""
+        """Return alpha * K with a rescaled norm estimate.
+
+        The ``kind`` tag survives only for ``alpha == 1``: the fast paths it
+        selects (K = I in ADMM, B = -I in the semistrong w-solver) are wrong
+        for any other multiple.
+        """
         a = float(alpha)
         norm = None if self._norm is None else abs(a) * self._norm
         m = LinearMap(self.rows, self.cols,
                       lambda x: a * self._forward(x),
                       lambda y: a * self._adjoint(y),
                       norm_estimate=norm, norm_is_exact=self.norm_is_exact,
-                      kind=self.kind)
+                      kind=self.kind if a == 1.0 else "custom")
         A = getattr(self, "matrix", None)
         if A is not None:
             m.matrix = a * A
@@ -160,50 +167,77 @@ class LinearMap:
 
 def estimate_norm(op: LinearMap, tol: float = 1e-12, max_iters: int = 10_000,
                   seed: int = 0) -> NormEstimate:
-    """Power-method estimate of the largest singular value of ``op``.
+    """Lanczos estimate of the largest singular value of ``op``.
 
-    Iterates v <- K^T K v / ||.|| and stops when the relative change of the
-    Rayleigh quotient drops below ``tol``.  Deterministic under ``seed``; the
-    start vector falls back to all-ones if the first iterate is annihilated.
-    Non-convergence returns the last estimate and emits a warning rather
+    Runs the Lanczos iteration on K^T K with full reorthogonalisation and
+    returns the square root of the largest Ritz value of the tridiagonal
+    matrix, a lower estimate of ||K||.  Each step costs one K and one K^T
+    product, and ``iterations`` counts them.  Stops when the Ritz residual
+    bound beta_k |s_k| drops to ``tol`` times the Ritz value, on breakdown
+    (an invariant Krylov subspace), or when the Krylov dimension reaches
+    ``op.cols``.  Deterministic under ``seed``.  Non-convergence within
+    ``max_iters`` steps returns the last estimate and emits a warning rather
     than failing silently.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.cols)
-    w = op.adjoint_apply(op.apply(v))
-    if not np.linalg.norm(w) > 0:
-        v = np.ones(op.cols)
+    v /= np.linalg.norm(v)
+    V = v[None, :]  # orthonormal Krylov basis, one row per step
+    alpha, beta = [], []
+    theta = 0.0
+    for k in range(1, max_iters + 1):
         w = op.adjoint_apply(op.apply(v))
-        if not np.linalg.norm(w) > 0:
-            return NormEstimate(0.0, True, 0)
-    lam = 0.0
-    for it in range(1, max_iters + 1):
-        v = w / np.linalg.norm(w)
-        w = op.adjoint_apply(op.apply(v))
-        lam_new = float(v @ w)  # Rayleigh quotient of K^T K
-        if lam_new <= 0:
-            return NormEstimate(0.0, True, it)
-        if abs(lam_new - lam) <= tol * lam_new:
-            return NormEstimate(float(np.sqrt(lam_new)), True, it)
-        lam = lam_new
+        alpha.append(float(v @ w))
+        # full reorthogonalisation, twice: removes the three-term recurrence
+        # components and the rounding drift against the whole basis
+        # (out of place: a custom map may hand back its own input)
+        w = w - V.T @ (V @ w)
+        w = w - V.T @ (V @ w)
+        b = float(np.linalg.norm(w))
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        ritz, S = np.linalg.eigh(T)
+        theta = max(float(ritz[-1]), 0.0)
+        if (b * abs(S[-1, -1]) <= tol * theta
+                or b <= np.finfo(float).eps * theta or k == op.cols):
+            return NormEstimate(float(np.sqrt(theta)), True, k)
+        beta.append(b)
+        v = w / b
+        V = np.vstack([V, v])
     warnings.warn(
-        f"power method did not converge in {max_iters} iterations "
-        f"(last estimate {np.sqrt(lam):.6e})", RuntimeWarning)
-    return NormEstimate(float(np.sqrt(lam)), False, max_iters)
+        f"Lanczos did not converge in {max_iters} iterations "
+        f"(last estimate {np.sqrt(theta):.6e})", RuntimeWarning)
+    return NormEstimate(float(np.sqrt(theta)), False, max_iters)
 
 
 # -- text persistence ------------------------------------------------------
 
+_WRITE_BLOCK = 1 << 16  # lines formatted and written at a time
+
+
 def save_triplets(path, op: LinearMap) -> None:
-    """Write ``op`` in the triplet text format: `n p nnz` then `i j value`."""
-    A = op.to_dense()
-    i, j = np.nonzero(A)
+    """Write ``op`` in the triplet text format: `n p nnz` then `i j value`,
+    one line per nonzero in row-major order."""
+    A = getattr(op, "matrix", None)
+    if A is None:
+        A = op.to_dense()
+    if sp.issparse(A):
+        C = sp.coo_matrix(A, copy=True)
+        C.sum_duplicates()  # canonical: row-major, one entry per position
+        keep = C.data != 0
+        i, j, v = C.row[keep], C.col[keep], C.data[keep]
+    else:
+        i, j = np.nonzero(A)
+        v = A[i, j]
     with open(path, "w") as fh:
         fh.write(f"{op.rows} {op.cols} {len(i)}\n")
-        for ii, jj in zip(i, j):
-            fh.write(f"{ii} {jj} {float(A[ii, jj])!r}\n")
+        # one write per block of lines: the text of a whole paper-scale
+        # matrix as Python strings would take ~250 MB
+        for s in range(0, len(i), _WRITE_BLOCK):
+            b = slice(s, s + _WRITE_BLOCK)
+            fh.write("".join(map("{} {} {!r}\n".format, i[b].tolist(),
+                                 j[b].tolist(), v[b].tolist())))
 
 
 def load_triplets(path) -> LinearMap:
@@ -213,13 +247,13 @@ def load_triplets(path) -> LinearMap:
         if len(header) != 3:
             raise ValueError("expected header line 'n p nnz'")
         rows, cols, nnz = (int(t) for t in header)
-        i = np.empty(nnz, dtype=int)
-        j = np.empty(nnz, dtype=int)
-        v = np.empty(nnz)
-        for k in range(nnz):
-            ti, tj, tv = fh.readline().split()
-            i[k], j[k], v[k] = int(ti), int(tj), float(tv)
-    return LinearMap.from_triplets(rows, cols, i, j, v)
+        data = (np.loadtxt(fh, ndmin=2, max_rows=nnz) if nnz
+                else np.empty((0, 3)))
+    if data.shape != (nnz, 3):
+        raise ValueError(f"expected {nnz} lines 'i j value', "
+                         f"got an array of shape {data.shape}")
+    return LinearMap.from_triplets(rows, cols, data[:, 0].astype(int),
+                                   data[:, 1].astype(int), data[:, 2])
 
 
 def save_dense_csv(path, op: LinearMap) -> None:

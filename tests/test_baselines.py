@@ -9,7 +9,7 @@ from nspd.baselines import (BaselineConfig, admm_step, cp_scvx_step, cp_step,
                             smoothing_mu, smoothing_solve, solve_admm, solve_cp)
 from nspd.errors import ConfigurationError
 from nspd.linop import LinearMap
-from nspd.problems import CompositeProblem, MatrixGame
+from nspd.problems import CompositeProblem, MatrixGame, neg_identity
 
 
 def lad_instance(rng, n=30, p=12, lam=0.1, mu=0.0):
@@ -92,6 +92,27 @@ def test_admm_identity_matches_closed_form(rng):
         admm_step(s1, fast, cfg)
         admm_step(s2, slow, cfg)
     assert np.linalg.norm(s1.x - s2.x) <= 1e-8
+
+
+@pytest.mark.parametrize("make_K", [
+    lambda: LinearMap.identity(3).scaled(2.0),
+    lambda: neg_identity(3).scaled(-2.0),
+    lambda: LinearMap.from_dense(np.eye(3)).scaled(2.0),
+    lambda: LinearMap.from_triplets(3, 3, [0, 1, 2], [0, 1, 2],
+                                    np.ones(3)).scaled(2.0),
+], ids=["identity", "neg_identity", "dense", "sparse"])
+def test_admm_on_scaled_identity_reaches_optimum(make_K):
+    # 0.1||x||_1 + ||2x - b||_1 is minimized at x = b/2; a K = 2I that
+    # still carried the identity tag used to send ADMM down the K = I
+    # closed-form branch and stall at F = 1.31
+    b = np.array([1.0, -2.0, 0.5])
+    problem = CompositeProblem(prox.l1_norm(3, 0.1), prox.l1_shifted(b),
+                               make_K())
+    cfg = BaselineConfig(rho=1.0, max_iters=300)
+    state = solve_admm(problem, np.zeros(3), np.zeros(3), cfg)
+    F_star = problem.primal_value(b / 2)
+    assert F_star == pytest.approx(0.175, rel=1e-12)
+    assert problem.primal_value(state.x) <= F_star + 1e-9
 
 
 def test_admm_zero_instance_stationary():

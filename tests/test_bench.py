@@ -1,5 +1,7 @@
 """Tests for instance generation and the experiment harness."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,11 @@ def test_game_experiment_writes_artifacts(tmp_path):
     # gap certificate for the c=1 variant is present and checked
     labels = {v["label"]: v for v in report["variants"]}
     assert labels["pd_general_c1"]["certificate_ok"] is True
+    # every variant's wall time reaches report.json
+    with open(tmp_path / "report.json") as fh:
+        written = json.load(fh)["variants"]
+    assert len(written) == 5
+    assert all(v["wall_s"] > 0 for v in written)
 
 
 def test_unknown_experiment_rejected(tmp_path):

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from nspd import linop
 from nspd.errors import DimensionMismatchError
 from nspd.linop import (LinearMap, estimate_norm, load_triplets,
                         save_dense_csv, save_triplets)
+from nspd.problems import neg_identity
 
 
 def test_identity_apply():
@@ -109,6 +113,141 @@ def test_norm_dominates_probe_rayleighs(rng):
     for _ in range(50):
         u = rng.standard_normal(9)
         assert sigma >= np.linalg.norm(op.apply(u)) / np.linalg.norm(u) - 1e-8
+
+
+def _as_map(A, builder):
+    A = np.asarray(A, dtype=float)
+    if builder == "dense":
+        return LinearMap.from_dense(A)
+    if builder == "sparse":
+        i, j = np.nonzero(A)
+        return LinearMap.from_triplets(A.shape[0], A.shape[1], i, j, A[i, j])
+    return LinearMap(A.shape[0], A.shape[1], lambda x: A @ x,
+                     lambda y: A.T @ y)
+
+
+def _norm_cases():
+    rng = np.random.default_rng(31)
+    return {
+        "wide": rng.standard_normal((30, 80)),
+        "tall": rng.standard_normal((80, 30)),
+        "1x1": np.array([[-2.5]]),
+        "3x1": np.array([[1.0], [-2.0], [0.5]]),
+        "rank1": np.outer(rng.standard_normal(40), rng.standard_normal(25)),
+        "diag31": np.diag([3.0, 1.0]),
+        "sparse_wide": (rng.standard_normal((60, 150))
+                        * (rng.random((60, 150)) < 0.1)),
+    }
+
+
+@pytest.mark.parametrize("builder", ["dense", "sparse", "custom"])
+@pytest.mark.parametrize("case", sorted(_norm_cases()))
+def test_norm_agrees_with_svd(builder, case):
+    A = _norm_cases()[case]
+    sigma = np.linalg.svd(A, compute_uv=False)[0]  # independent dense oracle
+    est = estimate_norm(_as_map(A, builder))
+    assert est.converged
+    assert 1 <= est.iterations <= A.shape[1]
+    assert abs(est.value - sigma) <= 1e-13 * sigma
+
+
+def test_norm_game_shaped_converges_in_few_matvecs():
+    # shaped like the paper-scale game: 1000x2000, 10% nonzeros uniform in
+    # [-1, 1]; power iteration needs ~1000 K^T K products to reach this tol
+    rng = np.random.default_rng(0)
+    A = np.where(rng.random((1000, 2000)) < 0.1,
+                 rng.uniform(-1.0, 1.0, (1000, 2000)), 0.0)
+    calls = {"apply": 0, "adjoint": 0}
+
+    def forward(x):
+        calls["apply"] += 1
+        return A @ x
+
+    def adjoint(y):
+        calls["adjoint"] += 1
+        return A.T @ y
+
+    est = estimate_norm(LinearMap(1000, 2000, forward, adjoint), tol=1e-14,
+                        max_iters=50_000)
+    assert est.converged
+    assert calls["apply"] == calls["adjoint"] == est.iterations <= 200
+
+
+_SCALINGS = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, 0.0]) | st.floats(
+    -10.0, 10.0, allow_nan=False)
+
+
+def _kind_map(kind):
+    if kind == "dense":
+        return LinearMap.from_dense([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0],
+                                     [4.0, 0.0, 0.5]])
+    if kind == "sparse":
+        return LinearMap.from_triplets(3, 3, [0, 1, 2], [2, 0, 1],
+                                       [1.5, -2.0, 0.25])
+    if kind == "identity":
+        return LinearMap.identity(3)
+    if kind == "zero":
+        return LinearMap.zero(3, 3)
+    return neg_identity(3)
+
+
+@given(kind=st.sampled_from(["dense", "sparse", "identity", "zero",
+                             "neg_identity"]),
+       alpha=_SCALINGS)
+def test_scaled_keeps_kind_only_when_unchanged(kind, alpha):
+    op = _kind_map(kind)
+    m = op.scaled(alpha)
+    assert np.array_equal(m.to_dense(), alpha * op.to_dense())
+    # the tag selects closed-form fast paths, so it may only survive a
+    # scaling that leaves the map as it was
+    assert (m.kind == op.kind) == (alpha == 1.0)
+    if alpha != 1.0:
+        assert m.kind == "custom"
+
+
+def _old_triplet_text(op):
+    """The original writer: densify, then one formatted line per nonzero."""
+    A = op.to_dense()
+    i, j = np.nonzero(A)
+    return f"{op.rows} {op.cols} {len(i)}\n" + "".join(
+        f"{ii} {jj} {float(A[ii, jj])!r}\n" for ii, jj in zip(i, j))
+
+
+def _fixed_triplet_maps():
+    A = np.array([[0.1, 0.0, -1e-20, 3.0],
+                  [0.0, 0.0, 0.0, 0.0],
+                  [1e16, -2.5, 0.0, 1.0 / 3.0],
+                  [5e-324, 0.0, 123456789.125, -0.0]])
+    # duplicates are summed; (1, 1) cancels to an explicitly stored zero
+    S = LinearMap.from_triplets(3, 5, [0, 2, 1, 1, 2, 0, 2],
+                                [4, 0, 1, 1, 3, 4, 0],
+                                [0.5, 1e-7, 2.0, -2.0, -7.0, 0.25, 1e22])
+    return {"dense": LinearMap.from_dense(A), "sparse": S}
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_triplet_bytes_match_original_writer(tmp_path, monkeypatch, kind,
+                                             block):
+    if block is not None:  # lines split across several write blocks
+        monkeypatch.setattr(linop, "_WRITE_BLOCK", block)
+    op = _fixed_triplet_maps()[kind]
+    path = tmp_path / "m.txt"
+    save_triplets(path, op)
+    assert path.read_bytes() == _old_triplet_text(op).encode()
+    back = load_triplets(path)
+    assert back.shape == op.shape
+    assert np.array_equal(back.to_dense(), op.to_dense())
+
+
+def test_triplet_empty_and_truncated(tmp_path):
+    path = tmp_path / "m.txt"
+    save_triplets(path, LinearMap.zero(2, 3))
+    assert path.read_text() == "2 3 0\n"
+    assert np.array_equal(load_triplets(path).to_dense(), np.zeros((2, 3)))
+    path.write_text("2 2 3\n0 0 1.0\n1 1 2.0\n")
+    with pytest.raises(ValueError):
+        load_triplets(path)
 
 
 def test_triplet_roundtrip(tmp_path, rng):
