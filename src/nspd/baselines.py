@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, InnerSolverError
+from .errors import ConfigurationError, InnerSolverError, check_finite
 from .problems import CompositeProblem, MatrixGame
 from .prox import conjugate_prox, project_simplex
 
@@ -61,12 +61,6 @@ class BaselineConfig:
         return beta
 
 
-def _check_finite(k, *vecs):
-    for v in vecs:
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError("non-finite iterate", k)
-
-
 # -- fixed-step primal-dual (extrapolation theta = 1) ------------------------
 
 @dataclass
@@ -96,7 +90,7 @@ def cp_step(state: CPState, problem: CompositeProblem) -> CPState:
     y_new = conjugate_prox(g, state.y + state.rho * K.apply(state.x_bar), state.rho)
     x_new = f.prox(state.x - state.beta * K.adjoint_apply(y_new), state.beta)
     x_bar_new = 2.0 * x_new - state.x
-    _check_finite(state.k, x_new, y_new)
+    check_finite(state.k, x=x_new, y=y_new)
 
     k1 = state.k + 1
     state.x_erg = state.x_erg + (x_new - state.x_erg) / k1
@@ -118,7 +112,7 @@ def cp_scvx_step(state: CPState, problem: CompositeProblem, mu_f: float) -> CPSt
     x_new = f.prox(state.x - state.beta * K.adjoint_apply(y_new), state.beta)
     theta = 1.0 / np.sqrt(1.0 + 2.0 * mu_f * state.beta)
     x_bar_new = x_new + theta * (x_new - state.x)
-    _check_finite(state.k, x_new, y_new)
+    check_finite(state.k, x=x_new, y=y_new)
 
     k1 = state.k + 1
     state.x_erg = state.x_erg + (x_new - state.x_erg) / k1
@@ -200,7 +194,7 @@ def admm_step(state: ADMMState, problem: CompositeProblem,
     Kx = K.apply(x_new)
     r_new = g.prox(Kx + state.u, 1.0 / rho)
     u_new = state.u + Kx - r_new
-    _check_finite(state.k, x_new, r_new, u_new)
+    check_finite(state.k, x=x_new, r=r_new, u=u_new)
 
     k1 = state.k + 1
     state.x_erg = state.x_erg + (x_new - state.x_erg) / k1
@@ -321,7 +315,7 @@ def smoothing_solve(game: MatrixGame, epsilon: float, mu_scale: float = 1.0,
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = x_next + ((t - 1.0) / t_next) * (x_next - x)
         x, t = x_next, t_next
-        _check_finite(i, x)
+        check_finite(i, x=x)
         if recorder is not None and _should_record(i + 1, k_max, "log", log_ks):
             recorder(i + 1, x, y_acc / w_acc, time.perf_counter() - t0)
     return x, y_acc / max(w_acc, 1.0), k_max, mu

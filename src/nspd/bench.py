@@ -115,7 +115,12 @@ def gen_lad(cfg: LadConfig):
 
 
 def gen_game(cfg: GameConfig) -> MatrixGame:
-    """Generate a sparse uniform game matrix rescaled to unit spectral norm."""
+    """Generate a sparse uniform game matrix rescaled to unit spectral norm.
+
+    The matrix is stored dense (``K.matrix``); at paper scale
+    ``LinearMap.from_dense`` multiplies it through CSR, because only 10% of
+    its entries are nonzero.
+    """
     seed = cfg.seed
     while True:
         rng = np.random.default_rng(seed)

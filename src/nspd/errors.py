@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class DimensionMismatchError(ValueError):
     """An input vector does not match the operator or function dimension."""
@@ -10,11 +12,24 @@ class ConfigurationError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A solver produced a non-finite iterate."""
+    """A solver produced a non-finite iterate.
 
-    def __init__(self, message, iteration):
-        super().__init__(f"{message} (iteration {iteration})")
+    ``quantity`` names the vector that went non-finite, when known.
+    """
+
+    def __init__(self, message, iteration, quantity=None):
+        named = message if quantity is None else f"{message} {quantity}"
+        super().__init__(f"{named} (iteration {iteration})")
         self.iteration = iteration
+        self.quantity = quantity
+
+
+def check_finite(k, **vecs):
+    """Raise :class:`DivergenceError` at iteration ``k`` naming the first of
+    ``vecs`` (keyword name -> vector) that holds a non-finite entry."""
+    for name, v in vecs.items():
+        if not np.isfinite(v).all():  # the method: half the cost of np.all
+            raise DivergenceError("non-finite iterate", k, name)
 
 
 class InnerSolverError(RuntimeError):

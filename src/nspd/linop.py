@@ -4,8 +4,12 @@ Solvers consume operators only through :class:`LinearMap`, which bundles a
 forward map, its adjoint, and a spectral-norm estimate (a Lanczos Ritz
 value, see :func:`estimate_norm`).  Two concrete constructions are provided
 (dense row-major matrices and sparse triplets) plus identity and zero maps.
-Operators are immutable after construction and safe to share across
-threads; ``apply``/``adjoint_apply`` are reentrant.
+A dense matrix keeps its array as ``matrix`` and multiplies through BLAS,
+unless it has at least ``_CSR_MIN_ENTRIES`` (2^17) entries with at most a
+``_CSR_MAX_DENSITY`` (15%) share nonzero: then through CSR copies of the
+matrix and of its transpose.  Operators are immutable after construction
+and safe to share across threads; ``apply``/``adjoint_apply`` are
+reentrant.
 """
 
 from __future__ import annotations
@@ -26,6 +30,31 @@ __all__ = [
     "save_triplets",
     "save_dense_csv",
 ]
+
+# Kernel choice of :meth:`LinearMap.from_dense` (evidence in
+# BENCH_products.json, made by scripts/bench_products.py).  Below ~1e5
+# entries scipy's per-call overhead loses to BLAS: on the 100x200 desk game
+# at 10% nonzeros a dense product takes ~4 us and a CSR one ~6-7 us.  Above
+# ~20% nonzeros dense BLAS on two threads ties CSR.
+_CSR_MIN_ENTRIES = 1 << 17
+_CSR_MAX_DENSITY = 0.15
+
+
+def _prefers_csr(A: np.ndarray) -> bool:
+    """Whether products with the dense array ``A`` are faster through CSR."""
+    return (A.size >= _CSR_MIN_ENTRIES
+            and np.count_nonzero(A) <= _CSR_MAX_DENSITY * A.size)
+
+
+def _csr_products(A):
+    """A CSR copy of ``A`` and the K and K^T products through it.
+
+    The transpose is materialised as CSR too: a product through the CSC
+    view ``S.T`` is ~20% slower.
+    """
+    S = sp.csr_matrix(A, dtype=float)
+    St = S.T.tocsr()
+    return S, (lambda x: S @ x), (lambda y: St @ y)
 
 
 class NormEstimate(NamedTuple):
@@ -99,11 +128,24 @@ class LinearMap:
 
     @classmethod
     def from_dense(cls, A, norm_estimate=None, norm_is_exact=False) -> "LinearMap":
+        """Wrap a copy of the 2-d array ``A``, kept read-only as ``matrix``.
+
+        Products go through BLAS, unless ``A`` has at least
+        ``_CSR_MIN_ENTRIES`` (2^17) entries and at most a
+        ``_CSR_MAX_DENSITY`` (15%) share of them nonzero: then through a CSR
+        copy of ``A`` and a CSR copy of its transpose, built once here.
+        Either way ``kind`` is ``"dense"``; the two kernels differ only in
+        rounding.
+        """
         A = np.array(A, dtype=float, order="C", copy=True)
         if A.ndim != 2:
             raise ValueError("from_dense expects a 2-d array")
         A.setflags(write=False)
-        m = cls(A.shape[0], A.shape[1], lambda x: A @ x, lambda y: A.T @ y,
+        if _prefers_csr(A):
+            _, forward, adjoint = _csr_products(A)
+        else:
+            forward, adjoint = (lambda x: A @ x), (lambda y: A.T @ y)
+        m = cls(A.shape[0], A.shape[1], forward, adjoint,
                 norm_estimate=norm_estimate, norm_is_exact=norm_is_exact,
                 kind="dense")
         m.matrix = A
@@ -118,10 +160,8 @@ class LinearMap:
 
     @classmethod
     def from_sparse(cls, S) -> "LinearMap":
-        S = sp.csr_matrix(S, dtype=float)
-        St = S.T.tocsr()
-        m = cls(S.shape[0], S.shape[1], lambda x: S @ x, lambda y: St @ y,
-                kind="sparse")
+        S, forward, adjoint = _csr_products(S)
+        m = cls(S.shape[0], S.shape[1], forward, adjoint, kind="sparse")
         m.matrix = S
         return m
 

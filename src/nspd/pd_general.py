@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, check_finite
 from .linop import LinearMap
 from .problems import CompositeProblem, EqConstrainedProblem
 from .prox import conjugate_prox
@@ -151,14 +151,6 @@ class PDState:
     K_xhat: np.ndarray
     K_xhat_prev: np.ndarray
 
-    def copy(self) -> "PDState":
-        return PDState(self.k, self.x.copy(), self.x_prev.copy(),
-                       self.x_hat.copy(), self.x_hat_prev.copy(),
-                       self.y.copy(), self.y_tilde.copy(),
-                       self.y_tilde_prev.copy(), self.y_bar.copy(),
-                       self.tau_prev, self.K_x.copy(), self.K_xhat.copy(),
-                       self.K_xhat_prev.copy())
-
 
 def init_state(problem: CompositeProblem, x0, y0) -> PDState:
     x0 = np.asarray(x0, dtype=float)
@@ -168,12 +160,6 @@ def init_state(problem: CompositeProblem, x0, y0) -> PDState:
                    x_hat_prev=x0.copy(), y=y0.copy(), y_tilde=y0.copy(),
                    y_tilde_prev=y0.copy(), y_bar=y0.copy(), tau_prev=1.0,
                    K_x=Kx0, K_xhat=Kx0.copy(), K_xhat_prev=Kx0.copy())
-
-
-def _check_finite(k, *vecs):
-    for v in vecs:
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError("non-finite iterate", k)
 
 
 def step(state: PDState, problem: CompositeProblem, sched: GeneralSchedule) -> PDState:
@@ -204,7 +190,7 @@ def step(state: PDState, problem: CompositeProblem, sched: GeneralSchedule) -> P
 
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
-    _check_finite(k, x_new, y_new, y_tilde_new)
+    check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
 
     state.x_prev = state.x
     state.x = x_new
@@ -265,7 +251,7 @@ def split_step(state: RawState, problem: CompositeProblem,
                                          - (1.0 - tau) * (K.apply(state.x) - state.r))
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
-    _check_finite(k, x_new, y_new, y_tilde_new)
+    check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
 
     state.x = x_new
     state.x_tilde = x_tilde_new
@@ -329,7 +315,7 @@ def constrained_step(state: ConstrState, problem: EqConstrainedProblem,
     y_tilde_new = state.y_tilde + eta * (K_x_new - (1.0 - tau) * state.K_x - tau * b)
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
-    _check_finite(k, x_new, y_new, y_tilde_new)
+    check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
 
     state.x_prev = state.x
     state.x = x_new

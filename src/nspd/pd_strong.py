@@ -33,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, InnerSolverError
+from .errors import ConfigurationError, InnerSolverError, check_finite
 from .problems import CompositeProblem, SemiStrongProblem
 from .prox import conjugate_prox
 
@@ -132,12 +132,6 @@ class StrongOptions:
     enforce_rho0_bound: bool = True
 
 
-def _check_finite(k, *vecs):
-    for v in vecs:
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError("non-finite iterate", k)
-
-
 # -- merged form -------------------------------------------------------------
 
 @dataclass
@@ -155,14 +149,6 @@ class PDStrongState:
     K_x: np.ndarray
     K_xhat: np.ndarray
     K_xhat_prev: np.ndarray
-
-    def copy(self) -> "PDStrongState":
-        return PDStrongState(self.k, self.x.copy(), self.x_prev.copy(),
-                             self.x_tilde.copy(), self.x_hat.copy(),
-                             self.y.copy(), self.y_tilde.copy(),
-                             self.y_tilde_prev.copy(), self.y_bar.copy(),
-                             self.tau_prev, self.K_x.copy(),
-                             self.K_xhat.copy(), self.K_xhat_prev.copy())
 
 
 def init_state(problem: CompositeProblem, x0, y0) -> PDStrongState:
@@ -208,7 +194,7 @@ def step(state: PDStrongState, problem: CompositeProblem,
 
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
-    _check_finite(k, x_new, y_new, y_tilde_new)
+    check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
 
     state.x_prev = state.x
     state.x = x_new
@@ -269,7 +255,7 @@ def split_step(state: RawStrongState, problem: CompositeProblem,
                                          - (1.0 - tau) * (K.apply(state.x) - state.r))
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
-    _check_finite(k, x_new, y_new, y_tilde_new)
+    check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
 
     state.x = x_new
     state.x_tilde = x_tilde_new
@@ -374,7 +360,7 @@ def semistrong_step(state: SemiStrongState, problem: SemiStrongProblem,
     y_tilde_new = state.y_tilde + eta * (resid_new - (1.0 - tau) * resid_old)
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
-    _check_finite(k, x_new, w_new, y_new, y_tilde_new)
+    check_finite(k, x=x_new, w=w_new, y=y_new, y_tilde=y_tilde_new)
 
     state.x_prev = state.x
     state.x = x_new

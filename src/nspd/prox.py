@@ -15,8 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-
 __all__ = [
     "ProxFunction",
     "conjugate_prox",
@@ -56,14 +54,6 @@ class ProxFunction:
     conjugate_value: Optional[Callable[[np.ndarray], float]] = None
     shift: Optional[np.ndarray] = None  # anchor vector of shifted functions
     name: str = ""
-
-    def check_dim(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"{self.name or 'function'} expects a vector of length {self.dim}, "
-                f"got shape {v.shape}")
-        return v
 
 
 def conjugate_prox(h: ProxFunction, v: np.ndarray, rho: float) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nspd import linop
+from nspd import bench, linop
 from nspd.errors import DimensionMismatchError
 from nspd.linop import (LinearMap, estimate_norm, load_triplets,
                         save_dense_csv, save_triplets)
@@ -63,6 +64,66 @@ def test_adjoint_consistency_100_pairs(rng, builder):
         lhs = float(op.apply(u) @ w)
         rhs = float(u @ op.adjoint_apply(w))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
+
+
+# -- kernel choice of from_dense ----------------------------------------------
+
+def _sparse_400():
+    """400x400 (above _CSR_MIN_ENTRIES) with 10% nonzeros uniform in [-1, 1]."""
+    rng = np.random.default_rng(41)
+    return np.where(rng.random((400, 400)) < 0.1,
+                    rng.uniform(-1.0, 1.0, (400, 400)), 0.0)
+
+
+def _close(a, b, rel=1e-13):
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+def test_large_sparse_dense_array_multiplies_through_csr(rng):
+    A = _sparse_400()
+    op = LinearMap.from_dense(A)
+    S = sp.csr_matrix(A)
+    St = S.T.tocsr()
+    for _ in range(5):
+        x, y = rng.standard_normal(400), rng.standard_normal(400)
+        # bit-equal to the CSR kernel, and equal to BLAS up to rounding
+        assert np.array_equal(op.apply(x), S @ x)
+        assert np.array_equal(op.adjoint_apply(y), St @ y)
+        assert _close(op.apply(x), A @ x)
+        assert _close(op.adjoint_apply(y), A.T @ y)
+    assert op.kind == "dense"
+    assert isinstance(op.matrix, np.ndarray)
+    assert np.array_equal(op.matrix, A)
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 7.0
+    two = op.scaled(2.0)
+    x, y = rng.standard_normal(400), rng.standard_normal(400)
+    assert _close(two.apply(x), 2.0 * (A @ x))
+    assert _close(two.adjoint_apply(y), 2.0 * (A.T @ y))
+    assert np.array_equal(two.matrix, 2.0 * A)
+
+
+def test_csr_backed_triplets_match_blas_backed(tmp_path, monkeypatch):
+    A = _sparse_400()
+    save_triplets(tmp_path / "csr.txt", LinearMap.from_dense(A))
+    # the same entries in a map below the size threshold, so through BLAS
+    monkeypatch.setattr(linop, "_CSR_MIN_ENTRIES", A.size + 1)
+    blas = LinearMap.from_dense(A)
+    save_triplets(tmp_path / "blas.txt", blas)
+    text = (tmp_path / "csr.txt").read_bytes()
+    assert text == (tmp_path / "blas.txt").read_bytes()
+    assert text == _old_triplet_text(blas).encode()
+
+
+def test_dense_and_small_arrays_keep_blas(rng):
+    gaussian = rng.standard_normal((400, 400))
+    game = bench.gen_game(bench.DESK_GAME).K  # 100x200 at 10% nonzeros
+    for op in (LinearMap.from_dense(gaussian), game):
+        A = op.matrix
+        for _ in range(5):
+            x, y = rng.standard_normal(op.cols), rng.standard_normal(op.rows)
+            assert np.array_equal(op.apply(x), A @ x)
+            assert np.array_equal(op.adjoint_apply(y), A.T @ y)
 
 
 def test_norm_identity():
@@ -137,6 +198,7 @@ def _norm_cases():
         "diag31": np.diag([3.0, 1.0]),
         "sparse_wide": (rng.standard_normal((60, 150))
                         * (rng.random((60, 150)) < 0.1)),
+        "csr_400": _sparse_400(),  # from_dense multiplies through CSR
     }
 
 

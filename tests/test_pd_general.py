@@ -141,6 +141,7 @@ def test_divergence_raises_with_iteration_index():
     with pytest.raises(DivergenceError) as err:
         step(state, problem, sched)
     assert err.value.iteration == 0
+    assert err.value.quantity == "x"
 
 
 # -- merged vs split equivalence ---------------------------------------------------
