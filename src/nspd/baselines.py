@@ -67,7 +67,6 @@ class BaselineConfig:
 class CPState:
     k: int
     x: np.ndarray
-    x_prev: np.ndarray
     x_bar: np.ndarray
     y: np.ndarray
     x_erg: np.ndarray
@@ -79,7 +78,7 @@ class CPState:
 def init_cp_state(problem, x0, y0, rho, beta) -> CPState:
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    return CPState(k=0, x=x0.copy(), x_prev=x0.copy(), x_bar=x0.copy(),
+    return CPState(k=0, x=x0.copy(), x_bar=x0.copy(),
                    y=y0.copy(), x_erg=x0.copy(), y_erg=y0.copy(),
                    rho=rho, beta=beta)
 
@@ -95,7 +94,6 @@ def cp_step(state: CPState, problem: CompositeProblem) -> CPState:
     k1 = state.k + 1
     state.x_erg = state.x_erg + (x_new - state.x_erg) / k1
     state.y_erg = state.y_erg + (y_new - state.y_erg) / k1
-    state.x_prev = state.x
     state.x = x_new
     state.x_bar = x_bar_new
     state.y = y_new
@@ -117,7 +115,6 @@ def cp_scvx_step(state: CPState, problem: CompositeProblem, mu_f: float) -> CPSt
     k1 = state.k + 1
     state.x_erg = state.x_erg + (x_new - state.x_erg) / k1
     state.y_erg = state.y_erg + (y_new - state.y_erg) / k1
-    state.x_prev = state.x
     state.x = x_new
     state.x_bar = x_bar_new
     state.y = y_new

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baselines, metrics, pd_general, pd_strong
 from .errors import OracleFailureError
-from .linop import LinearMap, estimate_norm, save_triplets
+from .linop import LinearMap, save_triplets
 from .problems import CompositeProblem, MatrixGame
 from .prox import elastic_net, l1_norm, l1_shifted
 
@@ -130,11 +130,10 @@ def gen_game(cfg: GameConfig) -> MatrixGame:
         seed += 1  # all-zero draw: retry with the next seed
     K = np.zeros((cfg.n, cfg.p))
     K[mask] = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
-    sigma = estimate_norm(LinearMap.from_dense(K), tol=1e-14,
-                          max_iters=50_000, seed=0).value
     # sigma is converged to 1e-14, so K / sigma has unit norm to that
     # accuracy: no second estimate is needed
-    return MatrixGame(LinearMap.from_dense(K / sigma, norm_estimate=1.0))
+    return MatrixGame(LinearMap.from_dense_unit_norm(
+        K, tol=1e-14, max_iters=50_000, seed=0))
 
 
 # -- experiment harness -------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 import numpy as np
 
 
@@ -20,13 +22,24 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, iteration, quantity=None):
         named = message if quantity is None else f"{message} {quantity}"
         super().__init__(f"{named} (iteration {iteration})")
+        self.message = message
         self.iteration = iteration
         self.quantity = quantity
+
+    def __reduce__(self):
+        return type(self), (self.message, self.iteration, self.quantity)
 
 
 def check_finite(k, **vecs):
     """Raise :class:`DivergenceError` at iteration ``k`` naming the first of
-    ``vecs`` (keyword name -> vector) that holds a non-finite entry."""
+    ``vecs`` (keyword name -> vector) that holds a non-finite entry.
+
+    One sum of squares screens all vectors at once: it is finite exactly
+    when every entry is, unless finite entries overflow when squared (say
+    1e200), so only a non-finite sum runs the per-vector scan.
+    """
+    if math.isfinite(sum(v @ v for v in vecs.values())):
+        return
     for name, v in vecs.items():
         if not np.isfinite(v).all():  # the method: half the cost of np.all
             raise DivergenceError("non-finite iterate", k, name)
@@ -37,7 +50,11 @@ class InnerSolverError(RuntimeError):
 
     def __init__(self, message, residual):
         super().__init__(f"{message} (final residual {residual:.3e})")
+        self.message = message
         self.residual = residual
+
+    def __reduce__(self):
+        return type(self), (self.message, self.residual)
 
 
 class UnsupportedMetricError(ValueError):

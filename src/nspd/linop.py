@@ -46,15 +46,21 @@ def _prefers_csr(A: np.ndarray) -> bool:
             and np.count_nonzero(A) <= _CSR_MAX_DENSITY * A.size)
 
 
-def _csr_products(A):
-    """A CSR copy of ``A`` and the K and K^T products through it.
+def _csr_pair(A):
+    """CSR copies of ``A`` and of its transpose, for the K and K^T products.
 
     The transpose is materialised as CSR too: a product through the CSC
     view ``S.T`` is ~20% slower.
     """
     S = sp.csr_matrix(A, dtype=float)
-    St = S.T.tocsr()
-    return S, (lambda x: S @ x), (lambda y: St @ y)
+    return S, S.T.tocsr()
+
+
+def _dense_copy(A):
+    A = np.array(A, dtype=float, order="C", copy=True)
+    if A.ndim != 2:
+        raise ValueError("from_dense expects a 2-d array")
+    return A
 
 
 class NormEstimate(NamedTuple):
@@ -137,14 +143,43 @@ class LinearMap:
         Either way ``kind`` is ``"dense"``; the two kernels differ only in
         rounding.
         """
-        A = np.array(A, dtype=float, order="C", copy=True)
-        if A.ndim != 2:
-            raise ValueError("from_dense expects a 2-d array")
+        A = _dense_copy(A)
         A.setflags(write=False)
-        if _prefers_csr(A):
-            _, forward, adjoint = _csr_products(A)
-        else:
+        return cls._dense_map(A, _csr_pair(A) if _prefers_csr(A) else None,
+                              norm_estimate, norm_is_exact)
+
+    @classmethod
+    def from_dense_unit_norm(cls, A, **estimate_kwargs) -> "LinearMap":
+        """Wrap ``A / sigma`` with norm estimate 1, where ``sigma`` is
+        ``estimate_norm(from_dense(A), **estimate_kwargs).value``.
+
+        The copy of ``A`` and its CSR copies (if :meth:`from_dense` would
+        make them) are built once: the estimate runs on them, then they are
+        divided by ``sigma`` in place.  ``matrix`` and the products are
+        therefore those of ``from_dense(A / sigma)`` bit for bit.  The
+        stored norm is exactly 1, so ``estimate_kwargs`` should converge
+        the estimate tightly.
+        """
+        A = _dense_copy(A)
+        csr = _csr_pair(A) if _prefers_csr(A) else None
+        sigma = estimate_norm(cls._dense_map(A, csr), **estimate_kwargs).value
+        if sigma == 0.0:
+            raise ValueError("the zero matrix has no unit-norm rescaling")
+        A /= sigma
+        for S in csr or ():
+            S.data /= sigma
+        A.setflags(write=False)
+        return cls._dense_map(A, csr, norm_estimate=1.0)
+
+    @classmethod
+    def _dense_map(cls, A, csr, norm_estimate=None, norm_is_exact=False):
+        """The map of the array ``A``, multiplied through ``csr`` =
+        (S, S^T) when given and through BLAS otherwise."""
+        if csr is None:
             forward, adjoint = (lambda x: A @ x), (lambda y: A.T @ y)
+        else:
+            S, St = csr
+            forward, adjoint = (lambda x: S @ x), (lambda y: St @ y)
         m = cls(A.shape[0], A.shape[1], forward, adjoint,
                 norm_estimate=norm_estimate, norm_is_exact=norm_is_exact,
                 kind="dense")
@@ -160,8 +195,9 @@ class LinearMap:
 
     @classmethod
     def from_sparse(cls, S) -> "LinearMap":
-        S, forward, adjoint = _csr_products(S)
-        m = cls(S.shape[0], S.shape[1], forward, adjoint, kind="sparse")
+        S, St = _csr_pair(S)
+        m = cls(S.shape[0], S.shape[1], lambda x: S @ x, lambda y: St @ y,
+                kind="sparse")
         m.matrix = S
         return m
 

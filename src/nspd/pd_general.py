@@ -135,31 +135,48 @@ def phi_grad_r(K: LinearMap, rho, x, r, y) -> np.ndarray:
 @dataclass
 class PDState:
     """Iterates of the merged form, with cached K-products so each step
-    performs exactly one forward and one adjoint application."""
+    performs exactly one forward and one adjoint application.
+
+    ``u`` carries the previous step's term of the three-point dual
+    correction (see :func:`_dual_correction`); it is zero at k = 0.
+    """
 
     k: int
     x: np.ndarray
-    x_prev: np.ndarray
     x_hat: np.ndarray
-    x_hat_prev: np.ndarray
     y: np.ndarray
     y_tilde: np.ndarray
-    y_tilde_prev: np.ndarray
     y_bar: np.ndarray
-    tau_prev: float
     K_x: np.ndarray
     K_xhat: np.ndarray
-    K_xhat_prev: np.ndarray
+    u: np.ndarray
 
 
 def init_state(problem: CompositeProblem, x0, y0) -> PDState:
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     Kx0 = problem.K.apply(x0)
-    return PDState(k=0, x=x0.copy(), x_prev=x0.copy(), x_hat=x0.copy(),
-                   x_hat_prev=x0.copy(), y=y0.copy(), y_tilde=y0.copy(),
-                   y_tilde_prev=y0.copy(), y_bar=y0.copy(), tau_prev=1.0,
-                   K_x=Kx0, K_xhat=Kx0.copy(), K_xhat_prev=Kx0.copy())
+    return PDState(k=0, x=x0.copy(), x_hat=x0.copy(), y=y0.copy(),
+                   y_tilde=y0.copy(), y_bar=y0.copy(), K_x=Kx0,
+                   K_xhat=Kx0.copy(), u=np.zeros_like(Kx0))
+
+
+def _dual_correction(state, y_new, K_x_new, tau, rho, eta):
+    """The three-point dual correction shared by the merged forms.
+
+    Eliminating the split residual gives
+
+        y~_{k+1} = y~_k + eta (K x_{k+1} - K x^_k)
+                   + (eta/rho_k) (y_{k+1} - y~_k)
+                   - eta (1 - tau_k) [(K x_k - K x^_{k-1})
+                                      + (y_k - y~_{k-1})/rho_{k-1}],
+
+    that is y~_{k+1} = y~_k + eta (u_{k+1} - (1 - tau_k) u_k) with
+    u_{k+1} = K x_{k+1} - K x^_k + (y_{k+1} - y~_k)/rho_k.  Returns
+    (y~_{k+1}, u_{k+1}); the next call reads u back from ``state.u``.
+    """
+    u = (K_x_new - state.K_xhat) + (y_new - state.y_tilde) / rho
+    return state.y_tilde + eta * (u - (1.0 - tau) * state.u), u
 
 
 def step(state: PDState, problem: CompositeProblem, sched: GeneralSchedule) -> PDState:
@@ -167,7 +184,6 @@ def step(state: PDState, problem: CompositeProblem, sched: GeneralSchedule) -> P
     k = state.k
     tau, rho, beta, eta = sched.at(k)
     tau_next = sched.tau(k + 1)
-    rho_prev = sched.rho0 / state.tau_prev
 
     f, g, K = problem.f, problem.g, problem.K
 
@@ -180,30 +196,20 @@ def step(state: PDState, problem: CompositeProblem, sched: GeneralSchedule) -> P
     K_x_new = K.apply(x_new)
     K_xhat_new = K_x_new + momentum * (K_x_new - state.K_x)
 
-    # three-point dual correction; the y-terms carry the coefficients from
-    # eliminating the split residual, eta/rho and eta (1 - tau)/rho_prev
-    y_tilde_new = (state.y_tilde
-                   + eta * (K_x_new - state.K_xhat
-                            - (1.0 - tau) * (state.K_x - state.K_xhat_prev))
-                   + (eta / rho) * (y_new - state.y_tilde)
-                   - (eta * (1.0 - tau) / rho_prev) * (state.y - state.y_tilde_prev))
-
+    y_tilde_new, u_new = _dual_correction(state, y_new, K_x_new, tau, rho,
+                                          eta)
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
     check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
 
-    state.x_prev = state.x
     state.x = x_new
-    state.x_hat_prev = state.x_hat
     state.x_hat = x_hat_new
-    state.y_tilde_prev = state.y_tilde
     state.y_tilde = y_tilde_new
     state.y = y_new
     state.y_bar = y_bar_new
-    state.tau_prev = tau
     state.K_x = K_x_new
-    state.K_xhat_prev = state.K_xhat
     state.K_xhat = K_xhat_new
+    state.u = u_new
     state.k = k + 1
     return state
 
@@ -269,12 +275,10 @@ def split_step(state: RawState, problem: CompositeProblem,
 class ConstrState:
     k: int
     x: np.ndarray
-    x_prev: np.ndarray
     x_hat: np.ndarray
     y: np.ndarray
     y_tilde: np.ndarray
     y_bar: np.ndarray
-    tau_prev: float
     K_x: np.ndarray
     K_xhat: np.ndarray
 
@@ -288,9 +292,9 @@ def init_constrained_state(problem: EqConstrainedProblem, x0, y0) -> ConstrState
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     Kx0 = problem.K.apply(x0)
-    return ConstrState(k=0, x=x0.copy(), x_prev=x0.copy(), x_hat=x0.copy(),
-                       y=y0.copy(), y_tilde=y0.copy(), y_bar=y0.copy(),
-                       tau_prev=1.0, K_x=Kx0, K_xhat=Kx0.copy())
+    return ConstrState(k=0, x=x0.copy(), x_hat=x0.copy(), y=y0.copy(),
+                       y_tilde=y0.copy(), y_bar=y0.copy(), K_x=Kx0,
+                       K_xhat=Kx0.copy())
 
 
 def constrained_step(state: ConstrState, problem: EqConstrainedProblem,
@@ -317,13 +321,11 @@ def constrained_step(state: ConstrState, problem: EqConstrainedProblem,
 
     check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
 
-    state.x_prev = state.x
     state.x = x_new
     state.x_hat = x_hat_new
     state.y = y_new
     state.y_tilde = y_tilde_new
     state.y_bar = y_bar_new
-    state.tau_prev = tau
     state.K_x = K_x_new
     state.K_xhat = K_xhat_new
     state.k = k + 1

@@ -34,6 +34,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError, InnerSolverError, check_finite
+from .pd_general import _dual_correction
 from .problems import CompositeProblem, SemiStrongProblem
 from .prox import conjugate_prox
 
@@ -136,30 +137,30 @@ class StrongOptions:
 
 @dataclass
 class PDStrongState:
+    """Iterates of the merged form; ``u`` carries the previous step's term
+    of the three-point dual correction, as in
+    :class:`nspd.pd_general.PDState`."""
+
     k: int
     x: np.ndarray
-    x_prev: np.ndarray
     x_tilde: np.ndarray
     x_hat: np.ndarray
     y: np.ndarray
     y_tilde: np.ndarray
-    y_tilde_prev: np.ndarray
     y_bar: np.ndarray
-    tau_prev: float
     K_x: np.ndarray
     K_xhat: np.ndarray
-    K_xhat_prev: np.ndarray
+    u: np.ndarray
 
 
 def init_state(problem: CompositeProblem, x0, y0) -> PDStrongState:
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     Kx0 = problem.K.apply(x0)
-    return PDStrongState(k=0, x=x0.copy(), x_prev=x0.copy(),
-                         x_tilde=x0.copy(), x_hat=x0.copy(), y=y0.copy(),
-                         y_tilde=y0.copy(), y_tilde_prev=y0.copy(),
-                         y_bar=y0.copy(), tau_prev=1.0, K_x=Kx0,
-                         K_xhat=Kx0.copy(), K_xhat_prev=Kx0.copy())
+    return PDStrongState(k=0, x=x0.copy(), x_tilde=x0.copy(),
+                         x_hat=x0.copy(), y=y0.copy(), y_tilde=y0.copy(),
+                         y_bar=y0.copy(), K_x=Kx0, K_xhat=Kx0.copy(),
+                         u=np.zeros_like(Kx0))
 
 
 def step(state: PDStrongState, problem: CompositeProblem,
@@ -168,7 +169,6 @@ def step(state: PDStrongState, problem: CompositeProblem,
     k = state.k
     tau, rho, beta, eta = sched.at(k)
     tau_next = sched.tau(k + 1)
-    rho_prev = sched.rho0 / state.tau_prev ** 2
     f, g, K = problem.f, problem.g, problem.K
 
     y_new = conjugate_prox(g, state.y_tilde + rho * state.K_xhat, rho)
@@ -186,28 +186,21 @@ def step(state: PDStrongState, problem: CompositeProblem,
     K_x_new = K.apply(x_new)
     K_xhat_new = (1.0 - tau_next) * K_x_new + tau_next * K.apply(x_tilde_new)
 
-    y_tilde_new = (state.y_tilde
-                   + eta * (K_x_new - state.K_xhat
-                            - (1.0 - tau) * (state.K_x - state.K_xhat_prev))
-                   + (eta / rho) * (y_new - state.y_tilde)
-                   - (eta * (1.0 - tau) / rho_prev) * (state.y - state.y_tilde_prev))
-
+    y_tilde_new, u_new = _dual_correction(state, y_new, K_x_new, tau, rho,
+                                          eta)
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
     check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
 
-    state.x_prev = state.x
     state.x = x_new
     state.x_tilde = x_tilde_new
     state.x_hat = x_hat_new
-    state.y_tilde_prev = state.y_tilde
     state.y_tilde = y_tilde_new
     state.y = y_new
     state.y_bar = y_bar_new
-    state.tau_prev = tau
     state.K_x = K_x_new
-    state.K_xhat_prev = state.K_xhat
     state.K_xhat = K_xhat_new
+    state.u = u_new
     state.k = k + 1
     return state
 
@@ -271,28 +264,30 @@ def split_step(state: RawStrongState, problem: CompositeProblem,
 
 @dataclass
 class SemiStrongState:
+    """Iterates of the semi-strongly convex scheme; ``resid`` is the
+    constraint residual K x_k + B w_k - b."""
+
     k: int
     x: np.ndarray
-    x_prev: np.ndarray
     x_tilde: np.ndarray
     x_hat: np.ndarray
     w: np.ndarray
-    w_prev: np.ndarray
     w_hat: np.ndarray
     y: np.ndarray
     y_tilde: np.ndarray
     y_bar: np.ndarray
-    tau_prev: float
+    resid: np.ndarray
 
 
 def init_semistrong_state(problem: SemiStrongProblem, x0, w0, y0) -> SemiStrongState:
     x0 = np.asarray(x0, dtype=float)
     w0 = np.asarray(w0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    return SemiStrongState(k=0, x=x0.copy(), x_prev=x0.copy(),
-                           x_tilde=x0.copy(), x_hat=x0.copy(), w=w0.copy(),
-                           w_prev=w0.copy(), w_hat=w0.copy(), y=y0.copy(),
-                           y_tilde=y0.copy(), y_bar=y0.copy(), tau_prev=1.0)
+    resid0 = problem.K.apply(x0) + problem.B.apply(w0) - problem.b
+    return SemiStrongState(k=0, x=x0.copy(), x_tilde=x0.copy(),
+                           x_hat=x0.copy(), w=w0.copy(), w_hat=w0.copy(),
+                           y=y0.copy(), y_tilde=y0.copy(), y_bar=y0.copy(),
+                           resid=resid0)
 
 
 def _solve_w_subproblem(problem: SemiStrongProblem, rho, nu0, K_xhat, w_hat,
@@ -356,23 +351,20 @@ def semistrong_step(state: SemiStrongState, problem: SemiStrongProblem,
     w_hat_new = w_new + momentum * (w_new - state.w)
 
     resid_new = K.apply(x_new) + B.apply(w_new) - b
-    resid_old = K.apply(state.x) + B.apply(state.w) - b
-    y_tilde_new = state.y_tilde + eta * (resid_new - (1.0 - tau) * resid_old)
+    y_tilde_new = state.y_tilde + eta * (resid_new - (1.0 - tau) * state.resid)
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
     check_finite(k, x=x_new, w=w_new, y=y_new, y_tilde=y_tilde_new)
 
-    state.x_prev = state.x
     state.x = x_new
     state.x_tilde = x_tilde_new
     state.x_hat = x_hat_new
-    state.w_prev = state.w
     state.w = w_new
     state.w_hat = w_hat_new
     state.y = y_new
     state.y_tilde = y_tilde_new
     state.y_bar = y_bar_new
-    state.tau_prev = tau
+    state.resid = resid_new
     state.k = k + 1
     return state
 

@@ -115,6 +115,30 @@ def test_csr_backed_triplets_match_blas_backed(tmp_path, monkeypatch):
     assert text == _old_triplet_text(blas).encode()
 
 
+@pytest.mark.parametrize("make", [_sparse_400,
+                                  lambda: np.random.default_rng(3)
+                                  .standard_normal((60, 40))],
+                         ids=["csr", "blas"])
+def test_unit_norm_map_equals_dividing_first(rng, make):
+    A = make()
+    original = A.copy()
+    kwargs = dict(tol=1e-14, max_iters=50_000, seed=0)
+    op = LinearMap.from_dense_unit_norm(A, **kwargs)
+    sigma = estimate_norm(LinearMap.from_dense(A), **kwargs).value
+    ref = LinearMap.from_dense(A / sigma)
+    assert np.array_equal(A, original)  # the caller's array is untouched
+    assert op.norm == 1.0 and op.kind == "dense"
+    assert np.array_equal(op.matrix, ref.matrix)
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 7.0
+    for _ in range(3):
+        x, y = rng.standard_normal(op.cols), rng.standard_normal(op.rows)
+        assert np.array_equal(op.apply(x), ref.apply(x))
+        assert np.array_equal(op.adjoint_apply(y), ref.adjoint_apply(y))
+    with pytest.raises(ValueError):
+        LinearMap.from_dense_unit_norm(np.zeros((3, 2)))
+
+
 def test_dense_and_small_arrays_keep_blas(rng):
     gaussian = rng.standard_normal((400, 400))
     game = bench.gen_game(bench.DESK_GAME).K  # 100x200 at 10% nonzeros

@@ -223,6 +223,35 @@ def test_w_subproblem_apg_matches_closed_form(rng):
     assert np.linalg.norm(s1.x - s2.x) <= 1e-7
 
 
+def test_semistrong_step_reuses_the_residual(rng):
+    problem = semistrong_instance(rng)
+    K = problem.K
+    calls = {"fwd": 0, "adj": 0}
+
+    def counted(name, fn):
+        def call(v):
+            calls[name] += 1
+            return fn(v)
+        return call
+
+    counting = LinearMap(K.rows, K.cols, counted("fwd", K.apply),
+                         counted("adj", K.adjoint_apply),
+                         norm_estimate=K.norm, norm_is_exact=True)
+    problem = SemiStrongProblem(problem.f, problem.psi, counting, problem.B,
+                                problem.b)
+    sched = StrongSchedule(1, 0.75, mu_f=problem.f.mu, norm_K=K.norm)
+    state = init_semistrong_state(problem, np.zeros(18), np.zeros(12),
+                                  np.zeros(12))
+    calls.update(fwd=0, adj=0)
+    for _ in range(10):
+        semistrong_step(state, problem, sched, StrongOptions())
+        # the carried residual is the one a fresh evaluation gives
+        assert np.array_equal(state.resid,
+                              K.apply(state.x) + problem.B.apply(state.w)
+                              - problem.b)
+    assert calls == {"fwd": 20, "adj": 10}  # K x^ and K x_{k+1} per step
+
+
 def test_closed_form_requires_neg_identity(rng):
     K = LinearMap.from_dense(rng.standard_normal((4, 5)))
     B = LinearMap.from_dense(rng.standard_normal((4, 3)))

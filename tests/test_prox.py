@@ -1,10 +1,12 @@
 """Tests for the proximal-mapping library."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nspd.prox import (conjugate_prox, elastic_net, l1_norm, l1_shifted,
+from nspd.prox import (_soft, conjugate_prox, elastic_net, l1_norm, l1_shifted,
                        point_indicator, project_simplex, prox_quadratic_shift,
                        quadratic, simplex_indicator, simplex_support,
                        squared_l2, zero)
@@ -36,6 +38,58 @@ def test_moreau_roundtrip_100_pairs(h):
         rho = float(rng.uniform(1e-2, 1e2))
         lhs = h.prox(x, 1.0 / rho) + conjugate_prox(h, rho * x, rho) / rho
         assert np.max(np.abs(lhs - x)) <= 1e-10
+
+
+def _moreau_conjugate_prox(h, v, rho):
+    return v - rho * h.prox(v / rho, 1.0 / rho)
+
+
+@pytest.mark.parametrize("h", [h for h in builtin_functions() if h.conj_prox],
+                         ids=lambda h: h.name)
+def test_closed_form_conjugate_prox_matches_moreau(h):
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        v = rng.standard_normal(h.dim) * rng.choice([0.1, 1.0, 10.0])
+        rho = float(rng.uniform(1e-2, 1e2))
+        moreau = _moreau_conjugate_prox(h, v, rho)
+        assert np.max(np.abs(conjugate_prox(h, v, rho) - moreau)) <= 1e-12
+
+
+def test_closed_forms_present_where_promised():
+    with_closed_form = {h.name for h in builtin_functions() if h.conj_prox}
+    assert with_closed_form == {"l1(lam=0.3)", "l1_shifted", "point_indicator",
+                                "simplex_support"}
+
+
+def test_conj_prox_survives_replacing_the_prox():
+    calls = []
+    h = l1_shifted(np.array([0.5, -1.0, 2.0]))
+
+    def counted(v, step, _prox=h.prox):
+        calls.append(step)
+        return _prox(v, step)
+
+    wrapped = dataclasses.replace(h, prox=counted)
+    v = np.array([3.0, -0.2, 0.1])
+    assert wrapped.conj_prox is h.conj_prox
+    assert np.array_equal(conjugate_prox(wrapped, v, 2.0),
+                          conjugate_prox(h, v, 2.0))
+    assert calls == []  # the closed form does not go through the prox
+
+
+def test_soft_threshold_equals_sign_formula():
+    rng = np.random.default_rng(17)
+    for t in (0.0, 0.3, 2.5):
+        v = rng.standard_normal(500) * 2
+        v[:40] = t
+        v[40:80] = -t
+        v[80:100] = 0.0
+        v[100:110] = -0.0
+        with np.errstate(under="ignore"):  # t = 0: the least subnormal
+            v[110:120] = np.nextafter(t, np.inf)
+        v[120:130] = -np.nextafter(t, 0.0)
+        old = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        assert np.array_equal(_soft(v, t), old)  # -0.0 == 0.0 here
 
 
 # -- prox characterization against probe points ------------------------------
