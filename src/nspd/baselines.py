@@ -11,12 +11,12 @@ outputs; which one is recorded is chosen by ``output_mode``.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .driver import run
 from .errors import ConfigurationError, InnerSolverError, check_finite
 from .problems import CompositeProblem, MatrixGame
 from .prox import conjugate_prox, project_simplex
@@ -206,28 +206,22 @@ def admm_step(state: ADMMState, problem: CompositeProblem,
 
 # -- drivers ------------------------------------------------------------------
 
-def _run(step_fn, state, cfg, recorder):
-    from .pd_general import _record_ks, _should_record
-
-    log_ks = _record_ks(cfg.max_iters, cfg.trace_every)
-    t0 = time.perf_counter()
-    for _ in range(cfg.max_iters):
-        state = step_fn(state)
-        if recorder is not None and _should_record(state.k, cfg.max_iters,
-                                                   cfg.trace_every, log_ks):
-            if cfg.output_mode == "ergodic":
-                recorder(state.k, state.x_erg, state.y_erg,
-                         time.perf_counter() - t0)
-            else:
-                recorder(state.k, state.x, getattr(state, "y", None),
-                         time.perf_counter() - t0)
-    return state
+def _run(advance, state, cfg, recorder, last_y):
+    """Run a baseline; the recorder sees the ergodic averages or the last
+    iterate with ``last_y(state)`` as its dual point."""
+    if cfg.output_mode == "ergodic":
+        output = lambda s: (s.x_erg, s.y_erg, {})
+    else:
+        output = lambda s: (s.x, last_y(s), {})
+    return run(advance, state, cfg.max_iters, cfg.trace_every, recorder,
+               output)
 
 
 def solve_cp(problem, x0, y0, cfg: BaselineConfig, recorder=None) -> CPState:
     beta = cfg.resolved_beta(problem.K.norm)
     state = init_cp_state(problem, x0, y0, cfg.rho, beta)
-    return _run(lambda s: cp_step(s, problem), state, cfg, recorder)
+    return _run(lambda s: cp_step(s, problem), state, cfg, recorder,
+                lambda s: s.y)
 
 
 def solve_cp_scvx(problem, x0, y0, cfg: BaselineConfig, recorder=None) -> CPState:
@@ -235,26 +229,14 @@ def solve_cp_scvx(problem, x0, y0, cfg: BaselineConfig, recorder=None) -> CPStat
         raise ConfigurationError("the strongly convex variant needs mu_f > 0")
     beta = cfg.resolved_beta(problem.K.norm)
     state = init_cp_state(problem, x0, y0, cfg.rho, beta)
-    return _run(lambda s: cp_scvx_step(s, problem, cfg.mu_f), state, cfg, recorder)
+    return _run(lambda s: cp_scvx_step(s, problem, cfg.mu_f), state, cfg,
+                recorder, lambda s: s.y)
 
 
 def solve_admm(problem, x0, y0, cfg: BaselineConfig, recorder=None) -> ADMMState:
-    from .pd_general import _record_ks, _should_record
-
     state = init_admm_state(problem, x0, y0, cfg.rho)
-    log_ks = _record_ks(cfg.max_iters, cfg.trace_every)
-    t0 = time.perf_counter()
-    for _ in range(cfg.max_iters):
-        state = admm_step(state, problem, cfg)
-        if recorder is not None and _should_record(state.k, cfg.max_iters,
-                                                   cfg.trace_every, log_ks):
-            if cfg.output_mode == "ergodic":
-                recorder(state.k, state.x_erg, state.y_erg,
-                         time.perf_counter() - t0)
-            else:
-                recorder(state.k, state.x, cfg.rho * state.u,
-                         time.perf_counter() - t0)
-    return state
+    return _run(lambda s: admm_step(s, problem, cfg), state, cfg, recorder,
+                lambda s: cfg.rho * s.u)
 
 
 # -- smoothed max-function baseline for matrix games --------------------------
@@ -269,6 +251,16 @@ def smoothing_iterations(epsilon: float, n: int, p: int, norm_K: float) -> int:
 def smoothing_mu(epsilon: float, n: int) -> float:
     """Smoothness parameter mu = epsilon / (2 (1 - 1/n))."""
     return epsilon / (2.0 * (1.0 - 1.0 / n))
+
+
+@dataclass
+class _SmoothState:
+    k: int
+    x: np.ndarray
+    z: np.ndarray
+    t: float
+    y_acc: np.ndarray  # sum of (i+1) y_mu(z_i)
+    w_acc: float       # sum of (i+1)
 
 
 def smoothing_solve(game: MatrixGame, epsilon: float, mu_scale: float = 1.0,
@@ -295,24 +287,21 @@ def smoothing_solve(game: MatrixGame, epsilon: float, mu_scale: float = 1.0,
     def y_mu(x):
         return project_simplex(y_c + K.apply(x) / mu)
 
+    def advance(s):
+        ymu = y_mu(s.z)
+        w = s.k + 1.0
+        s.y_acc += w * ymu
+        s.w_acc += w
+        x_next = project_simplex(s.z - K.adjoint_apply(ymu) / L)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * s.t * s.t))
+        s.z = x_next + ((s.t - 1.0) / t_next) * (x_next - s.x)
+        s.x, s.t = x_next, t_next
+        check_finite(s.k, x=s.x)
+        s.k += 1
+        return s
+
     x = np.full(p, 1.0 / p)
-    z = x.copy()
-    t = 1.0
-    y_acc = np.zeros(n)
-    w_acc = 0.0
-    t0 = time.perf_counter()
-    from .pd_general import _record_ks, _should_record
-    log_ks = _record_ks(k_max, "log")
-    for i in range(k_max):
-        ymu = y_mu(z)
-        w = i + 1.0
-        y_acc += w * ymu
-        w_acc += w
-        x_next = project_simplex(z - K.adjoint_apply(ymu) / L)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x_next + ((t - 1.0) / t_next) * (x_next - x)
-        x, t = x_next, t_next
-        check_finite(i, x=x)
-        if recorder is not None and _should_record(i + 1, k_max, "log", log_ks):
-            recorder(i + 1, x, y_acc / w_acc, time.perf_counter() - t0)
-    return x, y_acc / max(w_acc, 1.0), k_max, mu
+    state = run(advance, _SmoothState(0, x, x.copy(), 1.0, np.zeros(n), 0.0),
+                k_max, "log", recorder,
+                lambda s: (s.x, s.y_acc / s.w_acc, {}))
+    return state.x, state.y_acc / max(state.w_acc, 1.0), k_max, mu

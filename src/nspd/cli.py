@@ -5,8 +5,10 @@
     nspd solve --config FILE
     nspd plotdata TRACE.csv
 
-Exit codes: 0 success, 2 certificate violation (with --check), 3 oracle
-failure.
+Exit codes: 0 success, 2 certificate violation (``run --check``), 3 oracle
+failure (``run``), 4 divergence: a non-finite iterate (``solve``), 5 an
+inner subproblem solver that missed its tolerance (``solve``).  ``solve``
+writes the trace recorded so far before it exits with 4 or 5.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 import numpy as np
 
 from . import baselines, bench, metrics, pd_general, pd_strong
-from .errors import OracleFailureError
+from .errors import DivergenceError, InnerSolverError
 
 
 def _cmd_run(args) -> int:
@@ -84,14 +86,19 @@ def _cmd_solve(args) -> int:
         raise ValueError(f"unknown problem kind {kind!r}")
 
     solver = _build_solver(dict(cfg["solver"]), problem, x0, y0, recorder)
+    out = cfg.get("out", "trace.csv")
     try:
         solver()
-    except OracleFailureError as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return 3
-    out = cfg.get("out", "trace.csv")
+    except (DivergenceError, InnerSolverError) as exc:
+        code, what = ((4, "divergence") if isinstance(exc, DivergenceError)
+                      else (5, "inner solver failure"))
+        trace.to_csv(out)
+        print(f"{what}: {exc}; partial trace ({len(trace)} records) "
+              f"written to {out}", file=sys.stderr)
+        return code
     trace.to_csv(out)
-    print(f"final F = {trace.F[-1]!r}; trace written to {out}")
+    final = f"final F = {trace.F[-1]!r}; " if trace.F else ""
+    print(f"{final}trace written to {out}")
     return 0
 
 

@@ -7,6 +7,16 @@ Checking a certificate against a trace uses the additive slack
 1e-6 (1 + constant), which absorbs the substitution of a numerical
 reference point for the exact optimum; no certificate is reported as exact
 unless its reference source is exact.
+
+A recorder is called by the solver driver (:mod:`nspd.driver`) as
+``recorder(k, x, y, t, **products)`` and appends one :class:`Trace` row.
+The products are what the solver state already holds: ``Kx`` (K x) and
+``Kty`` (K^T y, kept as a running average alongside the averaged dual
+iterate) from the merged methods, ``Kx`` from the equality-constrained
+one, and ``w`` with ``resid`` (K x + B w - b) from the semi-strong scheme;
+the baselines hand over none.  A recorder accepts every product keyword,
+uses those it can, and computes a product it needs but was not given.  It
+returns the gap (the driver's ``tol`` stop compares it) or None.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ CERT_SLACK = 1e-6  # slack factor: 1e-6 * (1 + constant)
 # -- traces -------------------------------------------------------------------
 
 CSV_HEADER = ["k", "F", "G", "gap", "feas", "time_s"]
+_CSV_ROW = "{},{!r},{!r},{!r},{!r},{!r}\r\n"
 
 
 class Trace:
@@ -92,12 +103,13 @@ class Trace:
         return np.asarray(getattr(self, name), dtype=float)
 
     def to_csv(self, path):
+        """Write the header and one row per record, floats in ``repr``;
+        the bytes are those of ``csv.writer`` (comma, CRLF), which no
+        ``repr`` of a float needs to quote."""
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_HEADER)
-            for row in zip(self.k, self.F, self.G, self.gap, self.feas,
-                           self.time_s):
-                w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            fh.write(",".join(CSV_HEADER) + "\r\n" + "".join(map(
+                _CSV_ROW.format, self.k, self.F, self.G, self.gap, self.feas,
+                self.time_s)))
 
     @classmethod
     def from_csv(cls, path):
@@ -131,8 +143,9 @@ def dual_value(problem: CompositeProblem, y) -> float:
     return float(fv + gv)
 
 
-def lagrangian(problem: CompositeProblem, x, y) -> float:
-    """f(x) + <Kx, y> - g*(y), with +/- inf respected for indicators."""
+def lagrangian(problem: CompositeProblem, x, y, Kx=None) -> float:
+    """f(x) + <Kx, y> - g*(y), with +/- inf respected for indicators;
+    ``Kx``, when given, is used for K x."""
     g = problem.g
     if g.conjugate_value is None:
         raise UnsupportedMetricError("lagrangian needs a closed form for g*")
@@ -142,7 +155,9 @@ def lagrangian(problem: CompositeProblem, x, y) -> float:
     fv = problem.f.value(np.asarray(x, dtype=float))
     if not np.isfinite(fv):
         return float("inf")
-    return float(fv + problem.K.apply(x) @ np.asarray(y, dtype=float) - gv)
+    if Kx is None:
+        Kx = problem.K.apply(x)
+    return float(fv + Kx @ np.asarray(y, dtype=float) - gv)
 
 
 def duality_gap(problem: CompositeProblem, x, y) -> float:
@@ -173,22 +188,34 @@ def composite_recorder(problem: CompositeProblem, trace: Trace,
     Lagrangian gap L(x, y_ref) - L(x_ref, y) when reference points are
     given, else nan.
     """
-    have_conj = (problem.f.conjugate_value is not None
-                 and problem.g.conjugate_value is not None)
+    f, g, K = problem.f, problem.g, problem.K
+    f_conj, g_conj = f.conjugate_value, g.conjugate_value
+    have_conj = f_conj is not None and g_conj is not None
+    have_ref = x_ref is not None and y_ref is not None
+    if have_ref:
+        Kx_ref = K.apply(x_ref)
 
-    def record(k, x, y, t, w=None):
-        F = primal_value(problem, x)
-        G = float("nan")
-        gap = float("nan")
+    def record(k, x, y, t, Kx=None, Kty=None, **_):
+        if Kx is None:
+            Kx = K.apply(x)
+        F = f.value(x) + g.value(Kx)
+        G = gap = math.nan
         if have_conj and y is not None:
-            G = dual_value(problem, y)
+            gv = g_conj(y)
+            if not math.isfinite(gv):
+                G = math.inf
+            else:
+                if Kty is None:
+                    Kty = K.adjoint_apply(y)
+                G = float(f_conj(-Kty) + gv)
             gap = F + G
-        if not np.isfinite(gap) and x_ref is not None and y_ref is not None:
+        if not math.isfinite(gap) and have_ref:
             try:
-                gap = lagrangian(problem, x, y_ref) - lagrangian(problem, x_ref, y)
+                gap = (lagrangian(problem, x, y_ref, Kx)
+                       - lagrangian(problem, x_ref, y, Kx_ref))
             except UnsupportedMetricError:
-                gap = float("nan")
-        trace.append(k, F, G, gap, float("nan"), t)
+                gap = math.nan
+        trace.append(k, F, G, gap, math.nan, t)
         return gap
 
     return record
@@ -197,9 +224,10 @@ def composite_recorder(problem: CompositeProblem, trace: Trace,
 def constrained_recorder(problem, trace: Trace):
     """Record the objective f + psi and the feasibility residual ||Kx - b||."""
 
-    def record(k, x, y, t, w=None):
-        trace.append(k, problem.objective(x), float("nan"), float("nan"),
-                     problem.feasibility(x), t)
+    def record(k, x, y, t, Kx=None, **_):
+        feas = (problem.feasibility(x) if Kx is None
+                else float(np.linalg.norm(Kx - problem.b)))
+        trace.append(k, problem.objective(x), math.nan, math.nan, feas, t)
         return None
 
     return record
@@ -208,9 +236,10 @@ def constrained_recorder(problem, trace: Trace):
 def semistrong_recorder(problem, trace: Trace):
     """Record f(x) + psi(w) and ||Kx + Bw - b||."""
 
-    def record(k, x, y, t, w=None):
-        trace.append(k, problem.objective(x, w), float("nan"), float("nan"),
-                     problem.feasibility(x, w), t)
+    def record(k, x, y, t, w=None, resid=None, **_):
+        feas = (problem.feasibility(x, w) if resid is None
+                else float(np.linalg.norm(resid)))
+        trace.append(k, problem.objective(x, w), math.nan, math.nan, feas, t)
         return None
 
     return record
@@ -219,7 +248,10 @@ def semistrong_recorder(problem, trace: Trace):
 def game_recorder(game: MatrixGame, trace: Trace):
     """Record max(Kx), -min(K^T y) and their sum (the game gap)."""
 
-    def record(k, x, y, t, w=None):
+    # The products handed over are ignored: the benchmark's traced game test
+    # pins record_matvecs == 2 * record_calls
+    # (perfbench/tests/test_perfbench_trace.py).
+    def record(k, x, y, t, **_):
         F = game.primal_value(x)
         G = game.dual_value(y)
         trace.append(k, F, G, F + G, float("nan"), t)

@@ -16,12 +16,12 @@ psi.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
+from .driver import run
 from .errors import ConfigurationError, check_finite
 from .linop import LinearMap
 from .problems import CompositeProblem, EqConstrainedProblem
@@ -99,7 +99,7 @@ class GeneralOptions:
     rho0: Union[float, str] = "auto"
     max_iters: int = 1000
     trace_every: Union[int, str] = 1
-    tol: Optional[float] = None  # optional duality-gap stop, off by default
+    tol: Optional[float] = None  # stop on a recorded gap <= tol; off by default
 
 
 def resolve_rho0(rho0, gamma, norm_K, x0=None, y0=None, x_ref=None, y_ref=None):
@@ -139,6 +139,11 @@ class PDState:
 
     ``u`` carries the previous step's term of the three-point dual
     correction (see :func:`_dual_correction`); it is zero at k = 0.
+    ``Kt_ybar``, when not None, is K^T y_bar kept for the recorder as a
+    running average of the steps' K^T y products, summed in a different
+    order than K^T y_bar, so equal to it up to rounding.  tau_0 = 1 in
+    every schedule, so y_bar_1 = y_1 whatever y_bar_0 is, and the running
+    product may start from zeros.
     """
 
     k: int
@@ -150,6 +155,7 @@ class PDState:
     K_x: np.ndarray
     K_xhat: np.ndarray
     u: np.ndarray
+    Kt_ybar: Optional[np.ndarray] = None
 
 
 def init_state(problem: CompositeProblem, x0, y0) -> PDState:
@@ -188,7 +194,8 @@ def step(state: PDState, problem: CompositeProblem, sched: GeneralSchedule) -> P
     f, g, K = problem.f, problem.g, problem.K
 
     y_new = conjugate_prox(g, state.y_tilde + rho * state.K_xhat, rho)
-    x_new = f.prox(state.x_hat - beta * K.adjoint_apply(y_new), beta)
+    Kt_y = K.adjoint_apply(y_new)
+    x_new = f.prox(state.x_hat - beta * Kt_y, beta)
 
     momentum = tau_next * (1.0 - tau) / tau
     x_hat_new = x_new + momentum * (x_new - state.x)
@@ -201,6 +208,9 @@ def step(state: PDState, problem: CompositeProblem, sched: GeneralSchedule) -> P
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
     check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
+
+    if state.Kt_ybar is not None:
+        state.Kt_ybar = (1.0 - tau) * state.Kt_ybar + tau * Kt_y
 
     state.x = x_new
     state.x_hat = x_hat_new
@@ -334,59 +344,40 @@ def constrained_step(state: ConstrState, problem: EqConstrainedProblem,
 
 # -- drivers -----------------------------------------------------------------
 
-def _record_ks(max_iters, trace_every):
-    if trace_every == "log":
-        ks = np.unique(np.round(np.logspace(0, np.log10(max_iters), 400)).astype(int))
-        return set(int(k) for k in ks) | set(range(1, min(11, max_iters + 1)))
-    return None  # arithmetic cadence handled inline
-
-
-def _should_record(k, max_iters, trace_every, log_ks):
-    if log_ks is not None:
-        return k in log_ks or k == max_iters
-    return k % trace_every == 0 or k == max_iters or k <= 10
+def _schedule(problem, opts: GeneralOptions, x0, y0, x_ref, y_ref):
+    rho0 = resolve_rho0(opts.rho0, opts.gamma, problem.K.norm,
+                        x0=x0, y0=y0, x_ref=x_ref, y_ref=y_ref)
+    return GeneralSchedule(c=opts.c, gamma=opts.gamma, rho0=rho0,
+                           norm_K=problem.K.norm)
 
 
 def solve(problem: CompositeProblem, x0, y0, opts: GeneralOptions,
           recorder=None, x_ref=None, y_ref=None):
     """Run the merged update for opts.max_iters iterations.
 
-    Returns the final :class:`PDState`.  ``recorder`` (if given) is called as
-    ``recorder(k, x, y, t)`` with the non-ergodic primal iterate and the
-    averaged dual iterate at the trace cadence.
+    Returns the final :class:`PDState` and the schedule.  ``recorder`` (if
+    given) is called as ``recorder(k, x, y, t, Kx=K x, Kty=K^T y)`` with the
+    non-ergodic primal iterate and the averaged dual iterate at the trace
+    cadence; a returned value at or below ``opts.tol`` stops the run.
     """
-    rho0 = resolve_rho0(opts.rho0, opts.gamma, problem.K.norm,
-                        x0=x0, y0=y0, x_ref=x_ref, y_ref=y_ref)
-    sched = GeneralSchedule(c=opts.c, gamma=opts.gamma, rho0=rho0,
-                            norm_K=problem.K.norm)
+    sched = _schedule(problem, opts, x0, y0, x_ref, y_ref)
     state = init_state(problem, x0, y0)
-    log_ks = _record_ks(opts.max_iters, opts.trace_every)
-    t0 = time.perf_counter()
-    for _ in range(opts.max_iters):
-        state = step(state, problem, sched)
-        k = state.k
-        if recorder is not None and _should_record(k, opts.max_iters,
-                                                   opts.trace_every, log_ks):
-            rec = recorder(k, state.x, state.y_bar, time.perf_counter() - t0)
-            if opts.tol is not None and rec is not None and rec <= opts.tol:
-                break
+    if recorder is not None:
+        state.Kt_ybar = np.zeros(problem.p)  # see PDState
+    state = run(lambda s: step(s, problem, sched), state, opts.max_iters,
+                opts.trace_every, recorder,
+                lambda s: (s.x, s.y_bar, {"Kx": s.K_x, "Kty": s.Kt_ybar}),
+                opts.tol)
     return state, sched
 
 
 def solve_constrained(problem: EqConstrainedProblem, x0, y0, opts: GeneralOptions,
                       recorder=None, x_ref=None, y_ref=None):
-    """Run the equality-constrained specialization."""
-    rho0 = resolve_rho0(opts.rho0, opts.gamma, problem.K.norm,
-                        x0=x0, y0=y0, x_ref=x_ref, y_ref=y_ref)
-    sched = GeneralSchedule(c=opts.c, gamma=opts.gamma, rho0=rho0,
-                            norm_K=problem.K.norm)
+    """Run the equality-constrained specialization; the recorder gets
+    ``Kx=K x``, and ``opts.tol`` applies to what it returns."""
+    sched = _schedule(problem, opts, x0, y0, x_ref, y_ref)
     state = init_constrained_state(problem, x0, y0)
-    log_ks = _record_ks(opts.max_iters, opts.trace_every)
-    t0 = time.perf_counter()
-    for _ in range(opts.max_iters):
-        state = constrained_step(state, problem, sched)
-        k = state.k
-        if recorder is not None and _should_record(k, opts.max_iters,
-                                                   opts.trace_every, log_ks):
-            recorder(k, state.x, state.y_bar, time.perf_counter() - t0)
+    state = run(lambda s: constrained_step(s, problem, sched), state,
+                opts.max_iters, opts.trace_every, recorder,
+                lambda s: (s.x, s.y_bar, {"Kx": s.K_x}), opts.tol)
     return state, sched

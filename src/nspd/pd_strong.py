@@ -27,12 +27,12 @@ otherwise) rather than linearized.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
+from .driver import run
 from .errors import ConfigurationError, InnerSolverError, check_finite
 from .pd_general import _dual_correction
 from .problems import CompositeProblem, SemiStrongProblem
@@ -137,8 +137,8 @@ class StrongOptions:
 
 @dataclass
 class PDStrongState:
-    """Iterates of the merged form; ``u`` carries the previous step's term
-    of the three-point dual correction, as in
+    """Iterates of the merged form; ``u`` (the previous step's term of the
+    three-point dual correction) and ``Kt_ybar`` are as in
     :class:`nspd.pd_general.PDState`."""
 
     k: int
@@ -151,6 +151,7 @@ class PDStrongState:
     K_x: np.ndarray
     K_xhat: np.ndarray
     u: np.ndarray
+    Kt_ybar: Optional[np.ndarray] = None
 
 
 def init_state(problem: CompositeProblem, x0, y0) -> PDStrongState:
@@ -191,6 +192,9 @@ def step(state: PDStrongState, problem: CompositeProblem,
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
     check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
+
+    if state.Kt_ybar is not None:
+        state.Kt_ybar = (1.0 - tau) * state.Kt_ybar + tau * Kt_y
 
     state.x = x_new
     state.x_tilde = x_tilde_new
@@ -380,34 +384,25 @@ def _make_schedule(problem_mu, norm_K, opts: StrongOptions) -> StrongSchedule:
 
 
 def solve(problem: CompositeProblem, x0, y0, opts: StrongOptions, recorder=None):
-    """Run the merged strongly convex update for opts.max_iters iterations."""
-    from .pd_general import _record_ks, _should_record
-
+    """Run the merged strongly convex update for opts.max_iters iterations;
+    the recorder gets ``Kx=K x`` and ``Kty=K^T y`` with x and y_bar."""
     sched = _make_schedule(problem.f.mu, problem.K.norm, opts)
     state = init_state(problem, x0, y0)
-    log_ks = _record_ks(opts.max_iters, opts.trace_every)
-    t0 = time.perf_counter()
-    for _ in range(opts.max_iters):
-        state = step(state, problem, sched, averaging_x=opts.averaging_x)
-        if recorder is not None and _should_record(state.k, opts.max_iters,
-                                                   opts.trace_every, log_ks):
-            recorder(state.k, state.x, state.y_bar, time.perf_counter() - t0)
+    if recorder is not None:
+        state.Kt_ybar = np.zeros(problem.p)  # see pd_general.PDState
+    state = run(lambda s: step(s, problem, sched, averaging_x=opts.averaging_x),
+                state, opts.max_iters, opts.trace_every, recorder,
+                lambda s: (s.x, s.y_bar, {"Kx": s.K_x, "Kty": s.Kt_ybar}))
     return state, sched
 
 
 def solve_semistrong(problem: SemiStrongProblem, x0, w0, y0,
                      opts: StrongOptions, recorder=None):
-    """Run the semi-strongly convex constrained scheme."""
-    from .pd_general import _record_ks, _should_record
-
+    """Run the semi-strongly convex constrained scheme; the recorder gets
+    ``w`` and the constraint residual ``resid = K x + B w - b``."""
     sched = _make_schedule(problem.f.mu, problem.K.norm, opts)
     state = init_semistrong_state(problem, x0, w0, y0)
-    log_ks = _record_ks(opts.max_iters, opts.trace_every)
-    t0 = time.perf_counter()
-    for _ in range(opts.max_iters):
-        state = semistrong_step(state, problem, sched, opts)
-        if recorder is not None and _should_record(state.k, opts.max_iters,
-                                                   opts.trace_every, log_ks):
-            recorder(state.k, state.x, state.y_bar,
-                     time.perf_counter() - t0, w=state.w)
+    state = run(lambda s: semistrong_step(s, problem, sched, opts), state,
+                opts.max_iters, opts.trace_every, recorder,
+                lambda s: (s.x, s.y_bar, {"w": s.w, "resid": s.resid}))
     return state, sched

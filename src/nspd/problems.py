@@ -82,12 +82,11 @@ class WSolver:
 
     ``closed_form`` requires B = -Identity and solves the subproblem exactly
     through one prox of psi; ``apg`` runs an accelerated proximal-gradient
-    inner loop to ``tol`` on the gradient-mapping norm.
+    inner loop to ``StrongOptions.inner_tol`` on the gradient-mapping norm,
+    for at most ``StrongOptions.inner_max`` iterations.
     """
 
     kind: str = "closed_form"  # "closed_form" | "apg"
-    tol: float = 1e-10
-    max_inner: int = 500
 
 
 @dataclass(frozen=True)

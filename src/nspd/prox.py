@@ -99,14 +99,14 @@ def l1_norm(dim: int, lam: float) -> ProxFunction:
         raise ValueError("lam must be positive")
 
     def value(x):
-        return lam * float(np.sum(np.abs(x)))
+        return lam * float(np.abs(x).sum())
 
     def prox(v, step):
         return _soft(np.asarray(v, dtype=float), step * lam)
 
     def conj(s):
         # indicator of the l-inf ball of radius lam
-        if np.max(np.abs(s)) <= lam * (1 + FEAS_TOL) + FEAS_TOL:
+        if np.abs(s).max() <= lam * (1 + FEAS_TOL) + FEAS_TOL:
             return 0.0
         return np.inf
 
@@ -123,13 +123,13 @@ def l1_shifted(b: np.ndarray) -> ProxFunction:
     n = b.size
 
     def value(r):
-        return float(np.sum(np.abs(r - b)))
+        return float(np.abs(r - b).sum())
 
     def prox(v, step):
         return b + _soft(np.asarray(v, dtype=float) - b, step)
 
     def conj(y):
-        if np.max(np.abs(y)) <= 1 + FEAS_TOL:
+        if np.abs(y).max() <= 1 + FEAS_TOL:
             return float(b @ y)
         return np.inf
 
@@ -147,7 +147,7 @@ def elastic_net(dim: int, lam: float, mu: float) -> ProxFunction:
         raise ValueError("lam and mu must be positive")
 
     def value(x):
-        return lam * float(np.sum(np.abs(x))) + 0.5 * mu * float(x @ x)
+        return lam * float(np.abs(x).sum()) + 0.5 * mu * float(x @ x)
 
     def prox(v, step):
         return _soft(np.asarray(v, dtype=float), step * lam) / (1.0 + step * mu)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nspd import bench, cli, metrics
@@ -59,3 +60,39 @@ def test_cli_solve_admm_method(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["solve", "--config", str(path)]) == 0
+
+
+def _solve(tmp_path, solver):
+    cfg = {"problem": {"kind": "lad", "n": 15, "p": 6, "s": 2, "seed": 4},
+           "solver": solver, "out": str(tmp_path / "trace.csv")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return cli.main(["solve", "--config", str(path)])
+
+
+def test_cli_solve_reports_divergence(tmp_path, capsys):
+    # a penalty of 1e308 overflows K x_1, so x_2 is not finite
+    with np.errstate(all="ignore"):
+        code = _solve(tmp_path, {"method": "pd_general", "c": 1.0,
+                                 "gamma": 0.5, "rho0": 1e308,
+                                 "max_iters": 50})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "divergence" in err and "iteration 1" in err
+    tr = metrics.Trace.from_csv(tmp_path / "trace.csv")
+    assert tr.k == [1]  # the record made before the failing step
+
+
+def test_cli_solve_reports_inner_solver_failure(tmp_path, capsys):
+    # one inner iteration cannot reach a 1e-300 gradient-mapping norm
+    code = _solve(tmp_path, {"method": "admm", "rho": 1.0, "max_iters": 30,
+                             "inner_max": 1, "inner_tol": 1e-300})
+    assert code == 5
+    assert "inner solver failure" in capsys.readouterr().err
+    tr = metrics.Trace.from_csv(tmp_path / "trace.csv")
+    assert tr.k == [1]
+
+
+def test_cli_solve_zero_iterations_writes_an_empty_trace(tmp_path):
+    assert _solve(tmp_path, {"method": "cp", "max_iters": 0}) == 0
+    assert len(metrics.Trace.from_csv(tmp_path / "trace.csv")) == 0

@@ -212,7 +212,7 @@ def test_w_subproblem_apg_matches_closed_form(rng):
     closed = SemiStrongProblem(f, psi, K, neg_identity(n), b, nu0=0.5)
     general = SemiStrongProblem(
         f, psi, K, neg_identity(n), b, nu0=0.5,
-        w_solver=WSolver(kind="apg", tol=1e-12, max_inner=2000))
+        w_solver=WSolver(kind="apg"))
     sched = StrongSchedule(1, 0.75, mu_f=0.4, norm_K=K.norm)
     s1 = init_semistrong_state(closed, np.zeros(p), np.zeros(q), np.zeros(n))
     s2 = init_semistrong_state(general, np.zeros(p), np.zeros(q), np.zeros(n))

@@ -305,3 +305,25 @@ def test_indicator_values_use_feasibility_tolerance():
     p = point_indicator(np.ones(2))
     assert p.value(np.ones(2)) == 0.0
     assert p.value(np.ones(2) + 1e-5) == np.inf
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 200, 1000])
+def test_values_equal_the_np_sum_formulas(n, rng):
+    # the value and conjugate-value closures reduce with ndarray methods;
+    # these are the np.sum/np.max forms they replaced, bit for bit
+    lam, mu = 0.05, 0.1
+    b = rng.standard_normal(n)
+    l1, shifted, net = l1_norm(n, lam), l1_shifted(b), elastic_net(n, lam, mu)
+    for scale in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+        x = scale * rng.standard_normal(n)
+        assert l1.value(x) == lam * float(np.sum(np.abs(x)))
+        assert shifted.value(x) == float(np.sum(np.abs(x - b)))
+        with np.errstate(over="ignore", under="ignore"):  # x @ x at 1e+-300
+            assert net.value(x) == (lam * float(np.sum(np.abs(x)))
+                                    + 0.5 * mu * float(x @ x))
+        old_ball = 0.0 if np.max(np.abs(x)) <= lam * (1 + 1e-9) + 1e-9 else np.inf
+        assert l1.conjugate_value(x) == old_ball
+        old_box = float(b @ x) if np.max(np.abs(x)) <= 1 + 1e-9 else np.inf
+        assert shifted.conjugate_value(x) == old_box
+    x = np.full(n, lam)  # on the ball's boundary
+    assert l1.conjugate_value(x) == 0.0
