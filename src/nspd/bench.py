@@ -119,20 +119,27 @@ def gen_game(cfg: GameConfig) -> MatrixGame:
 
     The matrix is stored dense (``K.matrix``); at paper scale
     ``LinearMap.from_dense`` multiplies it through CSR, because only 10% of
-    its entries are nonzero.
+    its entries are nonzero.  The draws that pick the nonzeros go into K's
+    own buffer, which the map then takes without a copy, for the game's peak
+    memory: freeing a matrix-sized array (16 MB at paper scale) makes glibc
+    raise its mmap threshold, and the heap that then serves such arrays
+    fragments, ~10% more peak memory.  The stream is that of drawing the
+    mask into an array of its own.
     """
+    K = np.empty((cfg.n, cfg.p))
     seed = cfg.seed
     while True:
         rng = np.random.default_rng(seed)
-        mask = rng.random((cfg.n, cfg.p)) < cfg.density
+        rng.random(out=K)
+        mask = K < cfg.density
         if mask.any():
             break
         seed += 1  # all-zero draw: retry with the next seed
-    K = np.zeros((cfg.n, cfg.p))
+    K.fill(0.0)
     K[mask] = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
     # sigma is converged to 1e-14, so K / sigma has unit norm to that
     # accuracy: no second estimate is needed
-    return MatrixGame(LinearMap.from_dense_unit_norm(
+    return MatrixGame(LinearMap._unit_norm_in_place(
         K, tol=1e-14, max_iters=50_000, seed=0))
 
 

@@ -10,6 +10,10 @@ unless it has at least ``_CSR_MIN_ENTRIES`` (2^17) entries with at most a
 matrix and of its transpose.  Operators are immutable after construction
 and safe to share across threads; ``apply``/``adjoint_apply`` are
 reentrant.
+
+``scipy.sparse`` is imported only where a CSR copy, a triplet load or a
+sparse input is built: it is about half of ``import nspd`` (~0.17 of
+0.34 s), and the LAD instances never need it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatchError
 
@@ -28,7 +31,6 @@ __all__ = [
     "estimate_norm",
     "load_triplets",
     "save_triplets",
-    "save_dense_csv",
 ]
 
 # Kernel choice of :meth:`LinearMap.from_dense` (evidence in
@@ -52,6 +54,8 @@ def _csr_pair(A):
     The transpose is materialised as CSR too: a product through the CSC
     view ``S.T`` is ~20% slower.
     """
+    import scipy.sparse as sp
+
     S = sp.csr_matrix(A, dtype=float)
     return S, S.T.tocsr()
 
@@ -160,7 +164,13 @@ class LinearMap:
         stored norm is exactly 1, so ``estimate_kwargs`` should converge
         the estimate tightly.
         """
-        A = _dense_copy(A)
+        return cls._unit_norm_in_place(_dense_copy(A), **estimate_kwargs)
+
+    @classmethod
+    def _unit_norm_in_place(cls, A, **estimate_kwargs):
+        """:meth:`from_dense_unit_norm` of the float C-ordered 2-d array
+        ``A`` without copying it: ``A`` is divided in place and becomes the
+        read-only ``matrix``, so the caller hands it over."""
         csr = _csr_pair(A) if _prefers_csr(A) else None
         sigma = estimate_norm(cls._dense_map(A, csr), **estimate_kwargs).value
         if sigma == 0.0:
@@ -188,6 +198,8 @@ class LinearMap:
 
     @classmethod
     def from_triplets(cls, rows, cols, i, j, values) -> "LinearMap":
+        import scipy.sparse as sp
+
         S = sp.coo_matrix((np.asarray(values, dtype=float),
                            (np.asarray(i), np.asarray(j))),
                           shape=(rows, cols)).tocsr()
@@ -215,7 +227,7 @@ class LinearMap:
         """Materialize the operator column by column."""
         A = getattr(self, "matrix", None)
         if A is not None:
-            return A.toarray() if sp.issparse(A) else np.array(A)
+            return np.array(A) if isinstance(A, np.ndarray) else A.toarray()
         cols = [self.apply(e) for e in np.eye(self.cols)]
         return np.stack(cols, axis=1)
 
@@ -236,7 +248,7 @@ class LinearMap:
         A = getattr(self, "matrix", None)
         if A is not None:
             m.matrix = a * A
-            if not sp.issparse(m.matrix):
+            if isinstance(m.matrix, np.ndarray):
                 m.matrix.setflags(write=False)
         return m
 
@@ -298,8 +310,8 @@ def save_triplets(path, op: LinearMap) -> None:
     A = getattr(op, "matrix", None)
     if A is None:
         A = op.to_dense()
-    if sp.issparse(A):
-        C = sp.coo_matrix(A, copy=True)
+    if not isinstance(A, np.ndarray):  # a scipy sparse matrix
+        C = A.tocoo(copy=True)
         C.sum_duplicates()  # canonical: row-major, one entry per position
         keep = C.data != 0
         i, j, v = C.row[keep], C.col[keep], C.data[keep]
@@ -330,8 +342,3 @@ def load_triplets(path) -> LinearMap:
                          f"got an array of shape {data.shape}")
     return LinearMap.from_triplets(rows, cols, data[:, 0].astype(int),
                                    data[:, 1].astype(int), data[:, 2])
-
-
-def save_dense_csv(path, op: LinearMap) -> None:
-    """Write the materialized operator as plain CSV."""
-    np.savetxt(path, op.to_dense(), delimiter=",")

@@ -7,7 +7,7 @@ import pytest
 
 from nspd import bench, metrics
 from nspd.bench import GameConfig, LadConfig, gen_game, gen_lad
-from nspd.linop import estimate_norm, load_triplets
+from nspd.linop import LinearMap, estimate_norm, load_triplets
 
 
 def test_lad_default_desk_scale():
@@ -76,6 +76,44 @@ def test_gen_game_deterministic():
     g1 = gen_game(GameConfig(n=20, p=25, seed=9))
     g2 = gen_game(GameConfig(n=20, p=25, seed=9))
     assert np.array_equal(g1.K.to_dense(), g2.K.to_dense())
+
+
+def _two_buffer_game_matrix(cfg):
+    """gen_game's matrix with the mask drawn into an array of its own and
+    the nonzeros set in a fresh zero array."""
+    seed = cfg.seed
+    while True:
+        rng = np.random.default_rng(seed)
+        mask = rng.random((cfg.n, cfg.p)) < cfg.density
+        if mask.any():
+            break
+        seed += 1
+    K = np.zeros((cfg.n, cfg.p))
+    K[mask] = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
+    return K
+
+
+# a config whose first draw has no nonzero, so the retry loop runs
+RETRY_GAME = GameConfig(n=2, p=2, density=0.1, seed=1)
+
+
+@pytest.mark.parametrize("cfg", [bench.DESK_GAME, GameConfig(n=300, p=500),
+                                 RETRY_GAME], ids=["desk", "300x500", "retry"])
+def test_gen_game_matches_two_buffer_draw(cfg, rng):
+    if cfg is RETRY_GAME:
+        first = np.random.default_rng(cfg.seed).random((cfg.n, cfg.p))
+        assert not (first < cfg.density).any()
+    game = gen_game(cfg)
+    ref = LinearMap.from_dense_unit_norm(_two_buffer_game_matrix(cfg),
+                                         tol=1e-14, max_iters=50_000, seed=0)
+    assert np.array_equal(game.K.matrix, ref.matrix)
+    assert game.K.norm == 1.0
+    with pytest.raises(ValueError):
+        game.K.matrix[0, 0] = 7.0
+    for _ in range(3):
+        x, y = rng.standard_normal(cfg.p), rng.standard_normal(cfg.n)
+        assert np.array_equal(game.K.apply(x), ref.apply(x))
+        assert np.array_equal(game.K.adjoint_apply(y), ref.adjoint_apply(y))
 
 
 def test_config_validation():

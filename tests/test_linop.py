@@ -1,15 +1,19 @@
 """Tests for the linear operator layer."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nspd
 from nspd import bench, linop
 from nspd.errors import DimensionMismatchError
-from nspd.linop import (LinearMap, estimate_norm, load_triplets,
-                        save_dense_csv, save_triplets)
+from nspd.linop import LinearMap, estimate_norm, load_triplets, save_triplets
 from nspd.problems import neg_identity
 
 
@@ -347,6 +351,11 @@ def test_triplet_roundtrip(tmp_path, rng):
     assert np.array_equal(op2.to_dense(), A)
 
 
+def save_dense_csv(path, op):
+    """Write the materialized operator as plain CSV."""
+    np.savetxt(path, op.to_dense(), delimiter=",")
+
+
 def test_dense_csv_export(tmp_path):
     op = LinearMap.from_dense([[1.5, 0.0], [0.0, -2.0]])
     path = tmp_path / "m.csv"
@@ -359,3 +368,75 @@ def test_dense_matrix_is_readonly(rng):
     op = LinearMap.from_dense(rng.standard_normal((3, 3)))
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 7.0
+
+
+# -- where scipy.sparse is imported ---------------------------------------------
+# Each check runs in a fresh interpreter, since this one has scipy.sparse loaded.
+
+def _run_fresh(code, *args):
+    """Run ``code`` in a new interpreter that imports this checkout's nspd;
+    returns its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nspd.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_dense_paths_leave_scipy_sparse_unimported(tmp_path):
+    out = _run_fresh("""
+import sys
+import numpy as np
+import nspd
+from nspd import bench
+from nspd.linop import LinearMap, save_triplets
+assert "scipy.sparse" not in sys.modules, "import nspd"
+for cfg in (bench.DESK_LAD, bench.LadConfig(mu_f=0.1, correlated_fraction=0.5)):
+    problem, _ = bench.gen_lad(cfg)
+    assert problem.K.norm > 0
+assert "scipy.sparse" not in sys.modules, "gen_lad"
+save_triplets(sys.argv[1], LinearMap.from_dense(np.eye(3)))
+assert "scipy.sparse" not in sys.modules, "save_triplets"
+print("ok")
+""", tmp_path / "eye.txt")
+    assert out.split() == ["ok"]
+    assert (tmp_path / "eye.txt").read_text().startswith("3 3 3\n")
+
+
+def test_csr_path_in_fresh_interpreter():
+    out = _run_fresh("""
+import sys
+import numpy as np
+from nspd.linop import LinearMap
+rng = np.random.default_rng(41)
+A = np.where(rng.random((400, 400)) < 0.1, rng.uniform(-1.0, 1.0, (400, 400)), 0.0)
+op = LinearMap.from_dense(A)
+assert "scipy.sparse" in sys.modules  # loaded for the CSR copies
+import scipy.sparse as sp
+x, y = rng.standard_normal(400), rng.standard_normal(400)
+S = sp.csr_matrix(A)
+assert np.array_equal(op.apply(x), S @ x)
+assert np.array_equal(op.adjoint_apply(y), S.T.tocsr() @ y)
+print("ok")
+""")
+    assert out.split() == ["ok"]
+
+
+def test_triplets_in_fresh_interpreter(tmp_path):
+    A = np.array([[0.0, 1.5, 0.0], [-2.0, 0.0, 0.25]])
+    path = tmp_path / "m.txt"
+    save_triplets(path, LinearMap.from_dense(A))
+    out = _run_fresh("""
+import sys
+import numpy as np
+from nspd.linop import LinearMap, load_triplets
+A = np.array([[0.0, 1.5, 0.0], [-2.0, 0.0, 0.25]])
+assert np.array_equal(load_triplets(sys.argv[1]).to_dense(), A)
+op = LinearMap.from_triplets(2, 3, [0, 1, 1], [1, 0, 2], [1.5, -2.0, 0.25])
+assert op.kind == "sparse" and np.array_equal(op.to_dense(), A)
+assert np.array_equal(op.apply(np.ones(3)), A @ np.ones(3))
+print("ok")
+""", path)
+    assert out.split() == ["ok"]
