@@ -3,6 +3,12 @@
 Instances are generated with numpy's PCG64 generator, which is seedable and
 produces identical streams across platforms, so every run is reproducible
 bit-for-bit from (seed, config); the report embeds both.
+
+An experiment is data: an instance config, whether it needs the reference
+solution, the trace column its variants are measured on (F - F* on LAD, the
+gap on the game) and a table of rows, each a label, a solver call and an
+optional certificate factory.  One loop in :func:`run_experiment` runs the
+rows; ``nspd solve`` shares :func:`make_instance` and :func:`solver`.
 """
 
 from __future__ import annotations
@@ -10,12 +16,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import baselines, metrics, pd_general, pd_strong
+from .driver import check_trace_every
 from .errors import OracleFailureError
 from .linop import LinearMap, save_triplets
 from .problems import CompositeProblem, MatrixGame
@@ -27,7 +34,11 @@ __all__ = [
     "gen_lad",
     "gen_game",
     "ExperimentSpec",
+    "EXPERIMENTS",
     "run_experiment",
+    "Instance",
+    "make_instance",
+    "solver",
     "DESK_LAD",
     "DESK_GAME",
     "PAPER_LAD",
@@ -148,7 +159,7 @@ def gen_game(cfg: GameConfig) -> MatrixGame:
 @dataclass
 class ExperimentSpec:
     name: str  # lad-case1 | lad-case2 | game
-    scale: str = "desk"
+    scale: str = "desk"  # desk | paper
     seed: int = 0
     max_iters: int = 10_000
     reference_budget: int = 1_000_000
@@ -156,6 +167,14 @@ class ExperimentSpec:
     out_dir: str = "runs"
     check: bool = False
     epsilon: float = 1e-3  # smoothing accuracy for the game experiment
+
+    def __post_init__(self):
+        if self.name not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.name!r}")
+        if self.scale not in ("desk", "paper"):
+            raise ValueError(
+                f"scale must be 'desk' or 'paper', got {self.scale!r}")
+        check_trace_every(self.trace_every)
 
 
 @dataclass
@@ -166,295 +185,282 @@ class VariantResult:
     certificate: Optional[dict]
     certificate_ok: Optional[bool]
     error: Optional[str]
-    wall_s: float  # solve plus trace CSV write, as timed by _run_variant
+    wall_s: float  # solve plus trace CSV write
 
 
-def _slope_or_none(trace, column, offset, k_lo, k_hi):
-    try:
-        return metrics.trace_slope(trace, column, k_lo, k_hi, offset=offset)
-    except ValueError:
-        return None
+@dataclass(frozen=True)
+class Instance:
+    """A generated problem, its start point, ``recorder(trace)`` to measure
+    runs on it, and the matrix game it came from, if any."""
+
+    problem: CompositeProblem
+    x0: np.ndarray
+    y0: np.ndarray
+    recorder: Callable
+    game: Optional[MatrixGame] = None
 
 
-def _run_variant(label, solve_fn, trace, out_dir):
-    t0 = time.perf_counter()
-    err = None
-    try:
-        solve_fn()
-    except Exception as exc:  # per-variant divergence must not abort the rest
-        err = f"{type(exc).__name__}: {exc}"
-    trace.to_csv(os.path.join(out_dir, f"trace_{label}.csv"))
-    return err, time.perf_counter() - t0
+def make_instance(cfg) -> Instance:
+    """The instance of a LadConfig (start at zero, record F, G and the gap)
+    or a GameConfig (start at the simplex centers, record the game gap)."""
+    if isinstance(cfg, GameConfig):
+        game = gen_game(cfg)
+        return Instance(game.to_composite(), np.full(game.p, 1.0 / game.p),
+                        np.full(game.n, 1.0 / game.n),
+                        lambda trace: metrics.game_recorder(game, trace), game)
+    problem, _ = gen_lad(cfg)
+    return Instance(problem, np.zeros(problem.p), np.zeros(problem.n),
+                    lambda trace: metrics.composite_recorder(problem, trace))
+
+
+# method name -> (options class, solver), looked up when a run is built, so
+# that wrappers installed on the module attributes take effect
+_METHODS = {
+    "pd_general": lambda: (pd_general.GeneralOptions, pd_general.solve),
+    "pd_strong": lambda: (pd_strong.StrongOptions, pd_strong.solve),
+    "cp": lambda: (baselines.BaselineConfig, baselines.solve_cp),
+    "cp_scvx": lambda: (baselines.BaselineConfig, baselines.solve_cp_scvx),
+    "admm": lambda: (baselines.BaselineConfig, baselines.solve_admm),
+}
+
+
+def solver(method: str, options: dict, inst: Instance):
+    """``solve(recorder)``: the named composite method, with ``options`` for
+    its options class, run on ``inst`` from its start point."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    options_cls, solve = _METHODS[method]()
+    opts = options_cls(**options)
+    return lambda recorder: solve(inst.problem, inst.x0, inst.y0, opts,
+                                  recorder=recorder)
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One variant: ``solve(recorder)`` runs it; ``certificate()``, when
+    given, evaluates the bound its trace is checked against."""
+
+    label: str
+    solve: Callable
+    certificate: Optional[Callable] = None
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """A row's metric is the trace ``column``, less F* when ``reference``
+    asks for the oracle; ``rows(inst, norm_K, ref)`` returns the rows in run
+    order and the entries they add to the report."""
+
+    config: object
+    column: str
+    reference: bool
+    rows: Callable
+    save_b: bool = False
+
+
+def _budget(spec):
+    return {"max_iters": spec.max_iters, "trace_every": spec.trace_every}
+
+
+def _lad_config(spec, **case):
+    base = DESK_LAD if spec.scale == "desk" else PAPER_LAD
+    return replace(base, seed=spec.seed, **case)
+
+
+def _lad_case1(spec) -> _Experiment:
+    """pd_general (gamma 0.999, rho0 balanced by the reference), c in {1, 2},
+    both certified; fixed-step and ADMM baselines over multiples of rho0."""
+
+    def rows(inst, norm_K, ref):
+        x0, y0, it = inst.x0, inst.y0, _budget(spec)
+        M_g = inst.problem.g.lipschitz
+        gamma = 0.999
+        rho0 = pd_general.resolve_rho0("auto", gamma, norm_K, x0=x0, y0=y0,
+                                       x_ref=ref.x, y_ref=ref.y)
+        general = dict(it, gamma=gamma, rho0=rho0)
+        return [
+            _Row("pd_general_c1",
+                 solver("pd_general", dict(general, c=1.0), inst),
+                 lambda: metrics.certificate_general_primal(
+                     x0, y0, ref.x, M_g, rho0, gamma, norm_K)),
+            _Row("pd_general_c2",
+                 solver("pd_general", dict(general, c=2.0), inst),
+                 lambda: metrics.certificate_general_fast(
+                     2.0, inst.problem.primal_value(x0) - ref.F, x0, y0,
+                     ref.x, ref.y, M_g, rho0, gamma, norm_K)),
+            *(_Row(f"cp_rho{s:g}", solver("cp", dict(
+                it, rho=s * rho0, beta=gamma / (norm_K ** 2 * s * rho0)),
+                inst)) for s in (0.1, 1.0, 10.0)),
+            *(_Row(f"admm_rho{s:g}", solver("admm", dict(it, rho=s * rho0),
+                                            inst))
+              for s in (0.5, 10.0, 30.0)),
+        ], {"reference": ref.to_dict() | {"rho0_auto": float(rho0)}}
+
+    return _Experiment(_lad_config(spec), "F", True, rows, save_b=True)
+
+
+def _lad_case2(spec) -> _Experiment:
+    """pd_strong on the elastic net: Case 1 at its certified rho0 and at 5x
+    it (uncertified), Case 2 with c = 4; the accelerated baseline."""
+    cfg = _lad_config(spec, mu_f=0.1, correlated_fraction=0.5)
+
+    def rows(inst, norm_K, ref):
+        x0, y0, it = inst.x0, inst.y0, _budget(spec)
+        M_g, mu_f = inst.problem.g.lipschitz, cfg.mu_f
+        gamma1 = 0.999
+        rho0_1 = pd_strong.StrongSchedule(1, gamma1, mu_f,
+                                          norm_K).rho0_bound()
+        case1 = dict(it, case=1, gamma=gamma1)
+        rho_cp = 1.0 / norm_K
+        return [
+            _Row("pd_strong_case1",
+                 solver("pd_strong", dict(case1, rho0=rho0_1), inst),
+                 lambda: metrics.certificate_strong_primal(
+                     x0, y0, ref.x, M_g, rho0_1, gamma1, norm_K)),
+            _Row("pd_strong_case1_rho5x",
+                 solver("pd_strong", dict(case1, rho0=5.0 * rho0_1,
+                                          enforce_rho0_bound=False), inst)),
+            _Row("pd_strong_case2_c4",
+                 solver("pd_strong", dict(it, case=2, gamma=0.75, c=4.0),
+                        inst),
+                 lambda: metrics.certificate_strong_fast(
+                     4.0, inst.problem.primal_value(x0) - ref.F, x0, y0,
+                     ref.x, ref.y, M_g, pd_strong.StrongSchedule(
+                         2, 0.75, mu_f, norm_K, c=4.0).rho0,
+                     0.75, mu_f, norm_K)),
+            *(_Row(f"cp_scvx_rho{s:g}", solver("cp_scvx", dict(
+                it, rho=s * rho_cp, mu_f=mu_f), inst))
+              for s in (0.01, 0.75, 1.0, 5.0)),
+        ], {"reference": ref.to_dict()}
+
+    return _Experiment(cfg, "F", True, rows)
+
+
+def _game(spec) -> _Experiment:
+    """pd_general with c in {1, 2}, c = 1 certified on the game gap; the
+    smoothed accelerated gradient with mu scaled by {0.2, 1, 5}."""
+
+    def rows(inst, norm_K, ref):
+        game, it = inst.game, _budget(spec)
+        p, n = game.p, game.n
+        gamma, rho0 = 0.5, 1.0 / norm_K
+
+        def gap_certificate():
+            # sup of ||x0 - x||^2 over the simplex from the uniform start
+            # is attained at a vertex: 1 - 1/p
+            dx_sup2 = 1.0 - 1.0 / p
+            dy_sup2 = 1.0 - 1.0 / n
+            const = (rho0 * norm_K ** 2 * dx_sup2 / gamma
+                     + dy_sup2 / ((1.0 - gamma) * rho0))
+            return metrics.Certificate("general_gap_simplex", const, 1,
+                                       lambda k: 1.0 / (2.0 * k), "1/(2k)",
+                                       "exact", {"rho0": rho0, "gamma": gamma})
+
+        def smoothing(mu_scale):
+            return lambda recorder: baselines.smoothing_solve(
+                game, spec.epsilon, mu_scale=mu_scale, recorder=recorder)
+
+        general = dict(it, gamma=gamma, rho0=rho0)
+        return [
+            _Row("pd_general_c1",
+                 solver("pd_general", dict(general, c=1.0), inst),
+                 gap_certificate),
+            _Row("pd_general_c2",
+                 solver("pd_general", dict(general, c=2.0), inst)),
+            *(_Row(f"smoothing_mu{m:g}", smoothing(m))
+              for m in (0.2, 1.0, 5.0)),
+        ], {"smoothing_iterations": baselines.smoothing_iterations(
+            spec.epsilon, n, p, norm_K)}
+
+    base = DESK_GAME if spec.scale == "desk" else PAPER_GAME
+    return _Experiment(replace(base, seed=spec.seed), "gap", False, rows)
+
+
+# experiment name -> its declaration; a declaration looks up the generators,
+# solvers and recorders when it runs
+EXPERIMENTS = {"lad-case1": _lad_case1, "lad-case2": _lad_case2, "game": _game}
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Generate the instance, compute a reference, run every solver variant,
-    write one trace CSV per variant plus certificates and a summary report.
+    """Generate and write the instance, take ||K||, compute the reference if
+    needed, run the rows in order (a row that raises does not stop the
+    rest), and write a trace CSV per row, certificates and a report.
 
     Returns the report dict; the CLI maps report["exit_code"] to the process
-    exit status (0 ok, 2 certificate violation with --check, 3 oracle
-    failure).
+    exit status (0 ok; with ``check``, 2 when a certificate is violated or a
+    certified row failed to run; 3 oracle failure).
     """
     os.makedirs(spec.out_dir, exist_ok=True)
-    if spec.name == "lad-case1":
-        report = _run_lad_case1(spec)
-    elif spec.name == "lad-case2":
-        report = _run_lad_case2(spec)
-    elif spec.name == "game":
-        report = _run_game(spec)
-    else:
-        raise ValueError(f"unknown experiment {spec.name!r}")
+    report = _run_rows(spec, EXPERIMENTS[spec.name](spec))
     report["spec"] = asdict(spec)
     with open(os.path.join(spec.out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, default=str)
     return report
 
 
-def _summary(variants, certs, oracle_ok, check):
-    exit_code = 0
-    if not oracle_ok:
-        exit_code = 3
-    elif check and any(v.certificate_ok is False for v in variants):
-        exit_code = 2
+def _run_rows(spec: ExperimentSpec, exp: _Experiment) -> dict:
+    def out(name):
+        return os.path.join(spec.out_dir, name)
+
+    inst = make_instance(exp.config)
+    save_triplets(out("instance_K.txt"), inst.problem.K)
+    if exp.save_b:
+        np.savetxt(out("instance_b.csv"), inst.problem.g.shift, delimiter=",")
+    norm_K = inst.problem.K.norm
+    ref = None
+    if exp.reference:
+        try:
+            ref = metrics.reference_solution(inst.problem,
+                                             spec.reference_budget)
+        except OracleFailureError as exc:
+            return _report([], [], 3) | {"oracle_error": str(exc)}
+
+    rows, extras = exp.rows(inst, norm_K, ref)
+    offset = ref.F if ref is not None else 0.0
+    k_lo = max(spec.max_iters // 100, 10)
+    variants, certs, failed = [], [], False
+    for row in rows:
+        trace = metrics.Trace()
+        recorder = inst.recorder(trace)
+        t0 = time.perf_counter()
+        err = None
+        try:
+            row.solve(recorder)
+        except Exception as exc:  # a failing row must not abort the rest
+            err = f"{type(exc).__name__}: {exc}"
+        trace.to_csv(out(f"trace_{row.label}.csv"))
+        wall = time.perf_counter() - t0
+        values = trace.column(exp.column) - offset
+        cert = ok = None
+        if row.certificate is not None and err is None:
+            cert = row.certificate()
+            ok = cert.check(trace.k, values)[0]
+            certs.append(cert)
+        failed |= row.certificate is not None and ok is not True
+        variants.append(VariantResult(
+            row.label, float(values[-1]) if trace.k else float("nan"),
+            _slope_or_none(trace, exp.column, offset, k_lo),
+            cert.to_dict() if cert else None, ok, err, wall))
+
+    metrics.certificates_to_json(certs, out("certificates.json"))
+    return _report(variants, certs, 2 if spec.check and failed else 0) | extras
+
+
+def _report(variants, certs, exit_code):
     return {
         "variants": [asdict(v) for v in variants],
         "certificates": [c.to_dict() for c in certs],
-        "oracle_ok": oracle_ok,
+        "oracle_ok": exit_code != 3,
         "exit_code": exit_code,
     }
 
 
-def _lad_configs(spec, case):
-    cfg = DESK_LAD if spec.scale == "desk" else PAPER_LAD
-    overrides = {"seed": spec.seed}
-    if case == 2:
-        overrides.update(mu_f=0.1, correlated_fraction=0.5)
-    return LadConfig(**{**asdict(cfg), **overrides})
-
-
-def _run_lad_case1(spec: ExperimentSpec) -> dict:
-    cfg = _lad_configs(spec, 1)
-    problem, x_true = gen_lad(cfg)
-    save_triplets(os.path.join(spec.out_dir, "instance_K.txt"), problem.K)
-    np.savetxt(os.path.join(spec.out_dir, "instance_b.csv"),
-               problem.g.shift, delimiter=",")
-    norm_K = problem.K.norm
-    x0, y0 = np.zeros(cfg.p), np.zeros(cfg.n)
-
+def _slope_or_none(trace, column, offset, k_lo):
+    """The rate slope over [k_lo, last recorded k] (for a solver stopped at
+    max_iters, the records of [k_lo, max_iters]), or None."""
     try:
-        ref = metrics.reference_solution(problem, spec.reference_budget)
-    except OracleFailureError as exc:
-        return _summary([], [], False, spec.check) | {"oracle_error": str(exc)}
-
-    gamma = 0.999
-    rho0 = pd_general.resolve_rho0("auto", gamma, norm_K, x0=x0, y0=y0,
-                                   x_ref=ref.x, y_ref=ref.y)
-    k_lo, k_hi = max(spec.max_iters // 100, 10), spec.max_iters
-    variants, certs = [], []
-
-    for c in (1.0, 2.0):
-        label = f"pd_general_c{int(c)}"
-        trace = metrics.Trace()
-        rec = metrics.composite_recorder(problem, trace)
-        opts = pd_general.GeneralOptions(c=c, gamma=gamma, rho0=rho0,
-                                      max_iters=spec.max_iters,
-                                      trace_every=spec.trace_every)
-        err, wall = _run_variant(label, lambda: pd_general.solve(
-            problem, x0, y0, opts, recorder=rec), trace, spec.out_dir)
-        cert = None
-        ok = None
-        if err is None:
-            if c == 1.0:
-                cert = metrics.certificate_general_primal(
-                    x0, y0, ref.x, problem.g.lipschitz, rho0, gamma, norm_K)
-            else:
-                cert = metrics.certificate_general_fast(
-                    c, problem.primal_value(x0) - ref.F, x0, y0, ref.x, ref.y,
-                    problem.g.lipschitz, rho0, gamma, norm_K)
-            ok = cert.check(trace.k, trace.column("F") - ref.F)[0]
-            certs.append(cert)
-        variants.append(VariantResult(
-            label,
-            trace.F[-1] - ref.F if trace.F else float("nan"),
-            _slope_or_none(trace, "F", ref.F, k_lo, k_hi),
-            cert.to_dict() if cert else None, ok, err, wall))
-
-    for scale in (0.1, 1.0, 10.0):
-        label = f"cp_rho{scale:g}"
-        trace = metrics.Trace()
-        rec = metrics.composite_recorder(problem, trace)
-        cfg_b = baselines.BaselineConfig(
-            rho=scale * rho0, beta=gamma / (norm_K ** 2 * scale * rho0),
-            max_iters=spec.max_iters, trace_every=spec.trace_every)
-        err, wall = _run_variant(label, lambda: baselines.solve_cp(
-            problem, x0, y0, cfg_b, recorder=rec), trace, spec.out_dir)
-        variants.append(VariantResult(
-            label,
-            trace.F[-1] - ref.F if trace.F else float("nan"),
-            _slope_or_none(trace, "F", ref.F, k_lo, k_hi), None, None, err,
-            wall))
-
-    for scale in (0.5, 10.0, 30.0):
-        label = f"admm_rho{scale:g}"
-        trace = metrics.Trace()
-        rec = metrics.composite_recorder(problem, trace)
-        cfg_b = baselines.BaselineConfig(rho=scale * rho0,
-                                         max_iters=spec.max_iters,
-                                         trace_every=spec.trace_every)
-        err, wall = _run_variant(label, lambda: baselines.solve_admm(
-            problem, x0, y0, cfg_b, recorder=rec), trace, spec.out_dir)
-        variants.append(VariantResult(
-            label,
-            trace.F[-1] - ref.F if trace.F else float("nan"),
-            _slope_or_none(trace, "F", ref.F, k_lo, k_hi), None, None, err,
-            wall))
-
-    report = _summary(variants, certs, True, spec.check)
-    report["reference"] = ref.to_dict() | {"rho0_auto": float(rho0)}
-    metrics.certificates_to_json(certs, os.path.join(spec.out_dir,
-                                                     "certificates.json"))
-    return report
-
-
-def _run_lad_case2(spec: ExperimentSpec) -> dict:
-    cfg = _lad_configs(spec, 2)
-    problem, x_true = gen_lad(cfg)
-    save_triplets(os.path.join(spec.out_dir, "instance_K.txt"), problem.K)
-    norm_K = problem.K.norm
-    mu_f = cfg.mu_f
-    x0, y0 = np.zeros(cfg.p), np.zeros(cfg.n)
-
-    try:
-        ref = metrics.reference_solution(problem, spec.reference_budget)
-    except OracleFailureError as exc:
-        return _summary([], [], False, spec.check) | {"oracle_error": str(exc)}
-
-    k_lo, k_hi = max(spec.max_iters // 100, 10), spec.max_iters
-    variants, certs = [], []
-    gamma1 = 0.999
-    Gamma1 = 2.0 - 1.0 / gamma1
-    rho0_1 = Gamma1 * mu_f / (2.0 * norm_K ** 2)
-
-    strong_variants = [
-        ("pd_strong_case1", pd_strong.StrongOptions(
-            case=1, gamma=gamma1, rho0=rho0_1, max_iters=spec.max_iters,
-            trace_every=spec.trace_every), True),
-        ("pd_strong_case1_rho5x", pd_strong.StrongOptions(
-            case=1, gamma=gamma1, rho0=5.0 * rho0_1, max_iters=spec.max_iters,
-            trace_every=spec.trace_every, enforce_rho0_bound=False), False),
-        ("pd_strong_case2_c4", pd_strong.StrongOptions(
-            case=2, gamma=0.75, c=4.0, max_iters=spec.max_iters,
-            trace_every=spec.trace_every), True),
-    ]
-    for label, opts, certify in strong_variants:
-        trace = metrics.Trace()
-        rec = metrics.composite_recorder(problem, trace)
-        err, wall = _run_variant(label, lambda: pd_strong.solve(
-            problem, x0, y0, opts, recorder=rec), trace, spec.out_dir)
-        cert, ok = None, None
-        if err is None and certify:
-            if opts.case == 1:
-                cert = metrics.certificate_strong_primal(
-                    x0, y0, ref.x, problem.g.lipschitz, opts.rho0,
-                    opts.gamma, norm_K)
-            else:
-                sched = pd_strong.StrongSchedule(2, opts.gamma, mu_f, norm_K,
-                                                 c=opts.c)
-                cert = metrics.certificate_strong_fast(
-                    opts.c, problem.primal_value(x0) - ref.F, x0, y0, ref.x,
-                    ref.y, problem.g.lipschitz, sched.rho0, opts.gamma, mu_f,
-                    norm_K)
-            ok = cert.check(trace.k, trace.column("F") - ref.F)[0]
-            certs.append(cert)
-        variants.append(VariantResult(
-            label,
-            trace.F[-1] - ref.F if trace.F else float("nan"),
-            _slope_or_none(trace, "F", ref.F, k_lo, k_hi),
-            cert.to_dict() if cert else None, ok, err, wall))
-
-    rho_cp = 1.0 / norm_K
-    for scale in (0.01, 0.75, 1.0, 5.0):
-        label = f"cp_scvx_rho{scale:g}"
-        trace = metrics.Trace()
-        rec = metrics.composite_recorder(problem, trace)
-        cfg_b = baselines.BaselineConfig(rho=scale * rho_cp, mu_f=mu_f,
-                                         max_iters=spec.max_iters,
-                                         trace_every=spec.trace_every)
-        err, wall = _run_variant(label, lambda: baselines.solve_cp_scvx(
-            problem, x0, y0, cfg_b, recorder=rec), trace, spec.out_dir)
-        variants.append(VariantResult(
-            label,
-            trace.F[-1] - ref.F if trace.F else float("nan"),
-            _slope_or_none(trace, "F", ref.F, k_lo, k_hi), None, None, err,
-            wall))
-
-    report = _summary(variants, certs, True, spec.check)
-    report["reference"] = ref.to_dict()
-    metrics.certificates_to_json(certs, os.path.join(spec.out_dir,
-                                                     "certificates.json"))
-    return report
-
-
-def _run_game(spec: ExperimentSpec) -> dict:
-    cfg = DESK_GAME if spec.scale == "desk" else PAPER_GAME
-    cfg = GameConfig(**{**asdict(cfg), "seed": spec.seed})
-    game = gen_game(cfg)
-    problem = game.to_composite()
-    save_triplets(os.path.join(spec.out_dir, "instance_K.txt"), game.K)
-    norm_K = game.K.norm
-    p, n = game.p, game.n
-    x0 = np.full(p, 1.0 / p)
-    y0 = np.full(n, 1.0 / n)
-
-    k_lo, k_hi = max(spec.max_iters // 100, 10), spec.max_iters
-    variants, certs = [], []
-
-    for c in (1.0, 2.0):
-        label = f"pd_general_c{int(c)}"
-        trace = metrics.Trace()
-        rec = metrics.game_recorder(game, trace)
-        opts = pd_general.GeneralOptions(c=c, gamma=0.5, rho0=1.0 / norm_K,
-                                      max_iters=spec.max_iters,
-                                      trace_every=spec.trace_every)
-        err, wall = _run_variant(label, lambda: pd_general.solve(
-            problem, x0, y0, opts, recorder=rec), trace, spec.out_dir)
-        cert, ok = None, None
-        if err is None and c == 1.0:
-            # sup of ||x0 - x||^2 over the simplex from the uniform start
-            # is attained at a vertex: 1 - 1/p
-            dx_sup2 = 1.0 - 1.0 / p
-            dy_sup2 = 1.0 - 1.0 / n
-            const = (opts.rho0 * norm_K ** 2 * dx_sup2 / opts.gamma
-                     + dy_sup2 / ((1.0 - opts.gamma) * opts.rho0))
-            cert = metrics.Certificate("general_gap_simplex", const, 1,
-                                       lambda k: 1.0 / (2.0 * k), "1/(2k)",
-                                       "exact",
-                                       {"rho0": opts.rho0, "gamma": opts.gamma})
-            ok = cert.check(trace.k, trace.column("gap"))[0]
-            certs.append(cert)
-        variants.append(VariantResult(
-            label,
-            trace.gap[-1] if trace.gap else float("nan"),
-            _slope_or_none(trace, "gap", 0.0, k_lo, k_hi),
-            cert.to_dict() if cert else None, ok, err, wall))
-
-    for mu_scale in (0.2, 1.0, 5.0):
-        label = f"smoothing_mu{mu_scale:g}"
-        trace = metrics.Trace()
-        rec = metrics.game_recorder(game, trace)
-        err, wall = _run_variant(label, lambda: baselines.smoothing_solve(
-            game, spec.epsilon, mu_scale=mu_scale, recorder=rec),
-            trace, spec.out_dir)
-        variants.append(VariantResult(
-            label,
-            trace.gap[-1] if trace.gap else float("nan"),
-            _slope_or_none(trace, "gap", 0.0, k_lo,
-                           trace.k[-1] if trace.k else k_hi),
-            None, None, err, wall))
-
-    report = _summary(variants, certs, True, spec.check)
-    report["smoothing_iterations"] = baselines.smoothing_iterations(
-        spec.epsilon, n, p, norm_K)
-    metrics.certificates_to_json(certs, os.path.join(spec.out_dir,
-                                                     "certificates.json"))
-    return report
+        return metrics.trace_slope(trace, column, k_lo,
+                                   trace.k[-1] if trace.k else k_lo,
+                                   offset=offset)
+    except ValueError:
+        return None

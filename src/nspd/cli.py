@@ -5,10 +5,11 @@
     nspd solve --config FILE
     nspd plotdata TRACE.csv
 
-Exit codes: 0 success, 2 certificate violation (``run --check``), 3 oracle
-failure (``run``), 4 divergence: a non-finite iterate (``solve``), 5 an
-inner subproblem solver that missed its tolerance (``solve``).  ``solve``
-writes the trace recorded so far before it exits with 4 or 5.
+Exit codes: 0 success, 2 with ``run --check`` when a certificate is violated
+or a certified variant failed to run, 3 oracle failure (``run``), 4
+divergence: a non-finite iterate (``solve``), 5 an inner subproblem solver
+that missed its tolerance (``solve``).  ``solve`` writes the trace recorded
+so far before it exits with 4 or 5.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import baselines, bench, metrics, pd_general, pd_strong
+from . import bench, metrics
 from .errors import DivergenceError, InnerSolverError
 
 
@@ -48,47 +49,21 @@ def _cmd_run(args) -> int:
     return report["exit_code"]
 
 
-def _build_solver(solver_cfg, problem, x0, y0, recorder):
-    method = solver_cfg.pop("method")
-    if method == "pd_general":
-        opts = pd_general.GeneralOptions(**solver_cfg)
-        return lambda: pd_general.solve(problem, x0, y0, opts, recorder=recorder)
-    if method == "pd_strong":
-        opts = pd_strong.StrongOptions(**solver_cfg)
-        return lambda: pd_strong.solve(problem, x0, y0, opts, recorder=recorder)
-    if method in ("cp", "cp_scvx", "admm"):
-        cfg = baselines.BaselineConfig(**solver_cfg)
-        fn = {"cp": baselines.solve_cp, "cp_scvx": baselines.solve_cp_scvx,
-              "admm": baselines.solve_admm}[method]
-        return lambda: fn(problem, x0, y0, cfg, recorder=recorder)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _cmd_solve(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     prob_cfg = dict(cfg["problem"])
     kind = prob_cfg.pop("kind")
-    if kind == "lad":
-        problem, _ = bench.gen_lad(bench.LadConfig(**prob_cfg))
-        trace = metrics.Trace()
-        recorder = metrics.composite_recorder(problem, trace)
-        x0 = np.zeros(problem.p)
-        y0 = np.zeros(problem.n)
-    elif kind == "game":
-        game = bench.gen_game(bench.GameConfig(**prob_cfg))
-        problem = game.to_composite()
-        trace = metrics.Trace()
-        recorder = metrics.game_recorder(game, trace)
-        x0 = np.full(problem.p, 1.0 / problem.p)
-        y0 = np.full(problem.n, 1.0 / problem.n)
-    else:
+    configs = {"lad": bench.LadConfig, "game": bench.GameConfig}
+    if kind not in configs:
         raise ValueError(f"unknown problem kind {kind!r}")
-
-    solver = _build_solver(dict(cfg["solver"]), problem, x0, y0, recorder)
+    inst = bench.make_instance(configs[kind](**prob_cfg))
+    options = dict(cfg["solver"])
+    solve = bench.solver(options.pop("method"), options, inst)
     out = cfg.get("out", "trace.csv")
+    trace = metrics.Trace()
     try:
-        solver()
+        solve(inst.recorder(trace))
     except (DivergenceError, InnerSolverError) as exc:
         code, what = ((4, "divergence") if isinstance(exc, DivergenceError)
                       else (5, "inner solver failure"))
@@ -120,7 +95,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a named benchmark experiment")
-    p_run.add_argument("experiment", choices=["lad-case1", "lad-case2", "game"])
+    p_run.add_argument("experiment", choices=list(bench.EXPERIMENTS))
     scale = p_run.add_mutually_exclusive_group()
     scale.add_argument("--desk", action="store_true", default=True)
     scale.add_argument("--paper", action="store_true")
@@ -131,7 +106,8 @@ def main(argv=None) -> int:
                        type=lambda s: s if s == "log" else int(s))
     p_run.add_argument("--out", default="runs")
     p_run.add_argument("--check", action="store_true",
-                       help="exit 2 when a certificate is violated")
+                       help="exit 2 when a certificate is violated or a "
+                       "certified variant fails to run")
     p_run.add_argument("--epsilon", type=float, default=1e-3)
     p_run.set_defaults(fn=_cmd_run)
 

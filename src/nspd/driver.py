@@ -13,16 +13,29 @@ import time
 
 import numpy as np
 
-__all__ = ["record_cadence", "run"]
+__all__ = ["check_trace_every", "record_cadence", "run"]
+
+
+def check_trace_every(trace_every):
+    """Raise ValueError unless ``trace_every`` is ``"log"`` or a positive
+    integer."""
+    if trace_every == "log":
+        return
+    if (isinstance(trace_every, bool)
+            or not isinstance(trace_every, (int, np.integer))
+            or trace_every < 1):
+        raise ValueError("trace_every must be 'log' or a positive integer, "
+                         f"got {trace_every!r}")
 
 
 def record_cadence(max_iters, trace_every):
     """Predicate on k telling which iterations are recorded.
 
-    An integer ``trace_every`` records every multiple of it, the first ten
-    iterations and the last; ``"log"`` records ~400 log-spaced k, the first
-    ten and the last.
+    A positive integer ``trace_every`` records every multiple of it, the
+    first ten iterations and the last; ``"log"`` records ~400 log-spaced k,
+    the first ten and the last.  Anything else is a ValueError.
     """
+    check_trace_every(trace_every)
     if trace_every == "log":
         ks = np.unique(np.round(np.logspace(0, np.log10(max_iters), 400)).astype(int))
         logs = set(int(k) for k in ks) | set(range(1, min(11, max_iters + 1)))

@@ -126,7 +126,6 @@ class StrongOptions:
     c: float = 4.0
     max_iters: int = 1000
     trace_every: Union[int, str] = 1
-    nu0: Optional[float] = None
     inner_tol: float = 1e-10
     inner_max: int = 500
     averaging_x: bool = False  # replace the second prox by plain averaging
@@ -336,7 +335,7 @@ def semistrong_step(state: SemiStrongState, problem: SemiStrongProblem,
     tau, rho, beta, eta = sched.at(k)
     tau_next = sched.tau(k + 1)
     f, psi, K, B, b = problem.f, problem.psi, problem.K, problem.B, problem.b
-    nu0 = problem.resolved_nu0() if opts.nu0 is None else opts.nu0
+    nu0 = problem.resolved_nu0()
 
     K_xhat = K.apply(state.x_hat)
     w_new = _solve_w_subproblem(problem, rho, nu0, K_xhat, state.w_hat,

@@ -161,3 +161,49 @@ def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(ValueError):
         bench.run_experiment(bench.ExperimentSpec(name="nope",
                                                   out_dir=str(tmp_path)))
+
+
+@pytest.mark.parametrize("field, value", [("scale", "Paper"), ("scale", ""),
+                                          ("trace_every", 0),
+                                          ("trace_every", "linear")])
+def test_bad_spec_is_rejected_when_built(field, value):
+    with pytest.raises(ValueError, match=repr(value)):
+        bench.ExperimentSpec(name="game", **{field: value})
+
+
+# the rows of each LAD experiment in run order (perfbench/workloads.py lists
+# the same), with the certificate each certified row carries
+LAD_ROWS = {
+    "lad-case1": [("pd_general_c1", "general_primal"),
+                  ("pd_general_c2", "general_fast"), ("cp_rho0.1", None),
+                  ("cp_rho1", None), ("cp_rho10", None),
+                  ("admm_rho0.5", None), ("admm_rho10", None),
+                  ("admm_rho30", None)],
+    "lad-case2": [("pd_strong_case1", "strong_primal"),
+                  ("pd_strong_case1_rho5x", None),
+                  ("pd_strong_case2_c4", "strong_fast"),
+                  ("cp_scvx_rho0.01", None), ("cp_scvx_rho0.75", None),
+                  ("cp_scvx_rho1", None), ("cp_scvx_rho5", None)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAD_ROWS))
+def test_lad_experiment_rows(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(bench, "DESK_LAD", LadConfig(n=16, p=6, s=2))
+    ref_x = np.linspace(-0.5, 0.5, 6)
+    ref_y = np.linspace(-0.2, 0.2, 16)
+    ref = metrics.ReferenceSolution(ref_x, ref_y, 0.0, 0.0, "stub", 0.0, 0,
+                                    {})
+    monkeypatch.setattr(metrics, "reference_solution",
+                        lambda problem, budget: ref)
+    report = bench.run_experiment(bench.ExperimentSpec(
+        name=name, max_iters=40, out_dir=str(tmp_path)))
+    assert report["exit_code"] == 0
+    got = [(v["label"], v["certificate"] and v["certificate"]["name"])
+           for v in report["variants"]]
+    assert got == LAD_ROWS[name]
+    assert all(v["error"] is None for v in report["variants"])
+    assert [c["name"] for c in report["certificates"]] == \
+        [cert for _, cert in LAD_ROWS[name] if cert]
+    for label, _ in LAD_ROWS[name]:
+        assert len(metrics.Trace.from_csv(tmp_path / f"trace_{label}.csv")) > 0

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from nspd import bench, cli, metrics
+from nspd import bench, cli, metrics, pd_general
 from nspd.bench import GameConfig
+from nspd.errors import DivergenceError
 
 
 def test_cli_run_game_small(tmp_path, capsys, monkeypatch):
@@ -19,6 +20,28 @@ def test_cli_run_game_small(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "pd_general_c1" in out
     assert (tmp_path / "report.json").exists()
+
+
+def test_cli_check_fails_when_a_certified_variant_fails(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(bench, "DESK_GAME", GameConfig(n=10, p=14, density=0.3,
+                                                       seed=2))
+
+    def diverge(*args, **kwargs):
+        raise DivergenceError("non-finite iterate", 3, "x")
+
+    monkeypatch.setattr(pd_general, "solve", diverge)
+    argv = ["run", "game", "--seed", "2", "--max-iters", "200",
+            "--trace-every", "10", "--out", str(tmp_path), "--epsilon", "1e-1"]
+    assert cli.main(argv) == 0  # without --check a failed run is reported
+    assert cli.main(argv + ["--check"]) == 2
+    out = capsys.readouterr().out
+    assert "pd_general_c1" in out and "FAILED: DivergenceError" in out
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh)
+    c1 = report["variants"][0]
+    assert c1["label"] == "pd_general_c1" and c1["certificate_ok"] is None
+    assert report["certificates"] == []
 
 
 def test_cli_solve_from_config(tmp_path, capsys):

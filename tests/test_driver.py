@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,21 @@ def test_every_solver_records_the_cadence(trace_every):
         trace = metrics.Trace()
         solve(metrics.composite_recorder(problem, trace))
         assert trace.k == want, name
+
+
+@pytest.mark.parametrize("trace_every", [0, -3, 2.5, "lin", True, None])
+def test_bad_trace_every_is_named(trace_every):
+    with pytest.raises(ValueError, match=re.escape(repr(trace_every))):
+        record_cadence(100, trace_every)
+
+
+@pytest.mark.parametrize("method", ["pd_general", "pd_strong", "cp", "admm"])
+def test_solvers_reject_trace_every_zero(method):
+    cfg = bench.LadConfig(n=20, p=8, s=2, mu_f=0.1, seed=3)
+    inst = bench.make_instance(cfg)
+    solve = bench.solver(method, {"max_iters": 20, "trace_every": 0}, inst)
+    with pytest.raises(ValueError, match="trace_every"):
+        solve(inst.recorder(metrics.Trace()))
 
 
 def test_smoothing_records_the_log_cadence(rng):
