@@ -16,7 +16,8 @@ interpreters that import ``nspd`` from that ``src``:
 * a game child: the same for ``gen_game`` at paper scale, and the child's
   peak resident memory after the first call (``VmHWM`` of
   ``/proc/self/status``, which, unlike ``ru_maxrss``, does not inherit the
-  parent's peak).
+  parent's peak) and what it still holds then (``VmRSS``, with the game
+  alive).
 
 A first call includes the modules it is first to import (``numpy.random``
 for ``gen_lad``; ``scipy.sparse`` for ``gen_game`` when ``nspd`` does not
@@ -39,15 +40,15 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-_VMHWM = """
-def vmhwm_mb():
+_STATUS = """
+def status_mb(key):
     with open("/proc/self/status") as fh:
         for line in fh:
-            if line.startswith("VmHWM:"):
+            if line.startswith(key):
                 return int(line.split()[1]) / 1024.0
 """
 
-LAD_CHILD = _VMHWM + """
+LAD_CHILD = _STATUS + """
 import json, time
 from nspd import bench
 out = {}
@@ -61,21 +62,22 @@ for when in ("first", "warm"):
         t1 = time.perf_counter()
         out[f"{name}_gen_norm_{when}_s"] = t1 - t0
         out.setdefault("ready", t1)
-    out.setdefault("lad_vmhwm_mb", vmhwm_mb())
+    out.setdefault("lad_vmhwm_mb", status_mb("VmHWM:"))
 print(json.dumps(out))
 """
 
-GAME_CHILD = _VMHWM + """
+GAME_CHILD = _STATUS + """
 import json, time
 from nspd import bench
 out = {}
 for when in ("first", "warm"):
     t0 = time.perf_counter()
-    bench.gen_game(bench.PAPER_GAME)
+    game = bench.gen_game(bench.PAPER_GAME)
     t1 = time.perf_counter()
     out[f"game_paper_gen_{when}_s"] = t1 - t0
     out.setdefault("ready", t1)
-    out.setdefault("game_paper_vmhwm_mb", vmhwm_mb())
+    out.setdefault("game_paper_vmhwm_mb", status_mb("VmHWM:"))
+    out.setdefault("game_paper_rss_mb", status_mb("VmRSS:"))
 print(json.dumps(out))
 """
 

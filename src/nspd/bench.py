@@ -128,14 +128,17 @@ def gen_lad(cfg: LadConfig):
 def gen_game(cfg: GameConfig) -> MatrixGame:
     """Generate a sparse uniform game matrix rescaled to unit spectral norm.
 
-    The matrix is stored dense (``K.matrix``); at paper scale
-    ``LinearMap.from_dense`` multiplies it through CSR, because only 10% of
-    its entries are nonzero.  The draws that pick the nonzeros go into K's
-    own buffer, which the map then takes without a copy, for the game's peak
-    memory: freeing a matrix-sized array (16 MB at paper scale) makes glibc
-    raise its mmap threshold, and the heap that then serves such arrays
-    fragments, ~10% more peak memory.  The stream is that of drawing the
-    mask into an array of its own.
+    At paper scale only 10% of K's entries are nonzero, so
+    ``LinearMap.from_dense_unit_norm`` keeps only CSR copies of K and of
+    its transpose, built from K's buffer, which is then dropped.  The draws
+    that pick the nonzeros go into that same buffer, for the game's peak
+    memory: drawn into an array of their own, they make a
+    matrix-sized array (16 MB at paper scale) that is freed before K
+    exists, glibc then raises its mmap threshold, and the heap that serves
+    the later matrix-sized arrays fragments (game-paper peaks at ~120
+    against ~95 MB).  Dropping K once its CSR copies exist does not raise
+    the peak.  The stream is that of drawing the mask into an array of its
+    own.
     """
     K = np.empty((cfg.n, cfg.p))
     seed = cfg.seed
@@ -150,7 +153,7 @@ def gen_game(cfg: GameConfig) -> MatrixGame:
     K[mask] = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
     # sigma is converged to 1e-14, so K / sigma has unit norm to that
     # accuracy: no second estimate is needed
-    return MatrixGame(LinearMap._unit_norm_in_place(
+    return MatrixGame(LinearMap.from_dense_unit_norm(
         K, tol=1e-14, max_iters=50_000, seed=0))
 
 
@@ -255,7 +258,6 @@ class _Experiment:
     column: str
     reference: bool
     rows: Callable
-    save_b: bool = False
 
 
 def _budget(spec):
@@ -296,7 +298,7 @@ def _lad_case1(spec) -> _Experiment:
               for s in (0.5, 10.0, 30.0)),
         ], {"reference": ref.to_dict() | {"rho0_auto": float(rho0)}}
 
-    return _Experiment(_lad_config(spec), "F", True, rows, save_b=True)
+    return _Experiment(_lad_config(spec), "F", True, rows)
 
 
 def _lad_case2(spec) -> _Experiment:
@@ -404,7 +406,7 @@ def _run_rows(spec: ExperimentSpec, exp: _Experiment) -> dict:
 
     inst = make_instance(exp.config)
     save_triplets(out("instance_K.txt"), inst.problem.K)
-    if exp.save_b:
+    if inst.problem.g.shift is not None:
         np.savetxt(out("instance_b.csv"), inst.problem.g.shift, delimiter=",")
     norm_K = inst.problem.K.norm
     ref = None

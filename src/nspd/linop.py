@@ -4,12 +4,14 @@ Solvers consume operators only through :class:`LinearMap`, which bundles a
 forward map, its adjoint, and a spectral-norm estimate (a Lanczos Ritz
 value, see :func:`estimate_norm`).  Two concrete constructions are provided
 (dense row-major matrices and sparse triplets) plus identity and zero maps.
-A dense matrix keeps its array as ``matrix`` and multiplies through BLAS,
+A dense matrix keeps a copy of its array and multiplies through BLAS,
 unless it has at least ``_CSR_MIN_ENTRIES`` (2^17) entries with at most a
-``_CSR_MAX_DENSITY`` (15%) share nonzero: then through CSR copies of the
-matrix and of its transpose.  Operators are immutable after construction
-and safe to share across threads; ``apply``/``adjoint_apply`` are
-reentrant.
+``_CSR_MAX_DENSITY`` (15%) share nonzero: then it keeps only CSR copies of
+the matrix and of its transpose and multiplies through them, and its
+``matrix`` is rebuilt from the CSR copy on each access (~1.4 ms for the
+1000x2000 paper game, whose dense copy would take 16 MB).  Operators are
+immutable after construction and safe to share across threads;
+``apply``/``adjoint_apply`` are reentrant.
 
 ``scipy.sparse`` is imported only where a CSR copy, a triplet load or a
 sparse input is built: it is about half of ``import nspd`` (~0.17 of
@@ -51,8 +53,9 @@ def _prefers_csr(A: np.ndarray) -> bool:
 def _csr_pair(A):
     """CSR copies of ``A`` and of its transpose, for the K and K^T products.
 
-    The transpose is materialised as CSR too: a product through the CSC
-    view ``S.T`` is ~20% slower.
+    scipy copies the nonzeros, so later writes to ``A`` reach neither.  The
+    transpose is materialised as CSR too: a product through the CSC view
+    ``S.T`` is ~20% slower.
     """
     import scipy.sparse as sp
 
@@ -60,11 +63,16 @@ def _csr_pair(A):
     return S, S.T.tocsr()
 
 
-def _dense_copy(A):
-    A = np.array(A, dtype=float, order="C", copy=True)
+def _storage(A):
+    """What the dense map of the 2-d array ``A`` keeps: ``(None, (S,
+    S^T))`` when its products go through CSR, else ``(C, None)`` with ``C``
+    a C-ordered float copy of ``A``."""
+    A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("from_dense expects a 2-d array")
-    return A
+    if _prefers_csr(A):
+        return None, _csr_pair(A)
+    return np.array(A, order="C"), None
 
 
 class NormEstimate(NamedTuple):
@@ -106,10 +114,26 @@ class LinearMap:
         self._norm = None if norm_estimate is None else float(norm_estimate)
         self.norm_is_exact = bool(norm_is_exact)
         self.kind = kind
+        # the matrix as kept (an ndarray or a scipy CSR matrix), and whether
+        # ``matrix`` shows a CSR-kept one as an ndarray
+        self._stored = None
+        self._shown_dense = False
 
     @property
     def shape(self):
         return (self.rows, self.cols)
+
+    @property
+    def matrix(self):
+        """The operator's matrix: a read-only ndarray for a dense map (a new
+        one rebuilt from the CSR copy on each access when the map keeps only
+        that), the CSR matrix for a sparse one, None for a map of callables.
+        """
+        if self._shown_dense:
+            A = self._stored.toarray()
+            A.setflags(write=False)
+            return A
+        return self._stored
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return K x."""
@@ -138,62 +162,61 @@ class LinearMap:
 
     @classmethod
     def from_dense(cls, A, norm_estimate=None, norm_is_exact=False) -> "LinearMap":
-        """Wrap a copy of the 2-d array ``A``, kept read-only as ``matrix``.
+        """Wrap the 2-d array ``A``; ``matrix`` is a read-only copy of it.
 
-        Products go through BLAS, unless ``A`` has at least
-        ``_CSR_MIN_ENTRIES`` (2^17) entries and at most a
+        Products go through BLAS on a copy of ``A``, unless ``A`` has at
+        least ``_CSR_MIN_ENTRIES`` (2^17) entries and at most a
         ``_CSR_MAX_DENSITY`` (15%) share of them nonzero: then through a CSR
-        copy of ``A`` and a CSR copy of its transpose, built once here.
-        Either way ``kind`` is ``"dense"``; the two kernels differ only in
-        rounding.
+        copy of ``A`` and a CSR copy of its transpose, built once here from
+        ``A`` itself, and no dense copy is kept (``matrix`` is rebuilt from
+        the CSR copy on each access).  Either way ``kind`` is ``"dense"``,
+        later writes to ``A`` do not reach the map, and the two kernels
+        differ only in rounding.
         """
-        A = _dense_copy(A)
-        A.setflags(write=False)
-        return cls._dense_map(A, _csr_pair(A) if _prefers_csr(A) else None,
-                              norm_estimate, norm_is_exact)
+        A, csr = _storage(A)
+        if A is not None:
+            A.setflags(write=False)
+        return cls._dense_map(A, csr, norm_estimate, norm_is_exact)
 
     @classmethod
     def from_dense_unit_norm(cls, A, **estimate_kwargs) -> "LinearMap":
         """Wrap ``A / sigma`` with norm estimate 1, where ``sigma`` is
         ``estimate_norm(from_dense(A), **estimate_kwargs).value``.
 
-        The copy of ``A`` and its CSR copies (if :meth:`from_dense` would
-        make them) are built once: the estimate runs on them, then they are
-        divided by ``sigma`` in place.  ``matrix`` and the products are
-        therefore those of ``from_dense(A / sigma)`` bit for bit.  The
-        stored norm is exactly 1, so ``estimate_kwargs`` should converge
-        the estimate tightly.
+        What :meth:`from_dense` would keep (a copy of ``A``, or only its CSR
+        copies) is built once: the estimate runs on it, then it is divided
+        by ``sigma`` in place.  ``matrix`` and the products are therefore
+        those of ``from_dense(A / sigma)`` bit for bit.  The stored norm is
+        exactly 1, so ``estimate_kwargs`` should converge the estimate
+        tightly.
         """
-        return cls._unit_norm_in_place(_dense_copy(A), **estimate_kwargs)
-
-    @classmethod
-    def _unit_norm_in_place(cls, A, **estimate_kwargs):
-        """:meth:`from_dense_unit_norm` of the float C-ordered 2-d array
-        ``A`` without copying it: ``A`` is divided in place and becomes the
-        read-only ``matrix``, so the caller hands it over."""
-        csr = _csr_pair(A) if _prefers_csr(A) else None
+        A, csr = _storage(A)
         sigma = estimate_norm(cls._dense_map(A, csr), **estimate_kwargs).value
         if sigma == 0.0:
             raise ValueError("the zero matrix has no unit-norm rescaling")
-        A /= sigma
+        if A is not None:
+            A /= sigma
+            A.setflags(write=False)
         for S in csr or ():
             S.data /= sigma
-        A.setflags(write=False)
         return cls._dense_map(A, csr, norm_estimate=1.0)
 
     @classmethod
     def _dense_map(cls, A, csr, norm_estimate=None, norm_is_exact=False):
-        """The map of the array ``A``, multiplied through ``csr`` =
-        (S, S^T) when given and through BLAS otherwise."""
+        """The map of the array ``A`` multiplied through BLAS, or, when
+        ``A`` is None, of the CSR pair ``csr`` = (S, S^T), whose ``matrix``
+        is ``S`` rebuilt dense."""
         if csr is None:
             forward, adjoint = (lambda x: A @ x), (lambda y: A.T @ y)
+            stored = A
         else:
             S, St = csr
             forward, adjoint = (lambda x: S @ x), (lambda y: St @ y)
-        m = cls(A.shape[0], A.shape[1], forward, adjoint,
+            stored = S
+        m = cls(stored.shape[0], stored.shape[1], forward, adjoint,
                 norm_estimate=norm_estimate, norm_is_exact=norm_is_exact,
                 kind="dense")
-        m.matrix = A
+        m._stored, m._shown_dense = stored, csr is not None
         return m
 
     @classmethod
@@ -210,7 +233,7 @@ class LinearMap:
         S, St = _csr_pair(S)
         m = cls(S.shape[0], S.shape[1], lambda x: S @ x, lambda y: St @ y,
                 kind="sparse")
-        m.matrix = S
+        m._stored = S
         return m
 
     @classmethod
@@ -224,8 +247,9 @@ class LinearMap:
                    norm_estimate=0.0, norm_is_exact=True, kind="zero")
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the operator column by column."""
-        A = getattr(self, "matrix", None)
+        """Materialize the operator: a copy of its stored matrix, else
+        column by column."""
+        A = self._stored
         if A is not None:
             return np.array(A) if isinstance(A, np.ndarray) else A.toarray()
         cols = [self.apply(e) for e in np.eye(self.cols)]
@@ -245,11 +269,10 @@ class LinearMap:
                       lambda y: a * self._adjoint(y),
                       norm_estimate=norm, norm_is_exact=self.norm_is_exact,
                       kind=self.kind if a == 1.0 else "custom")
-        A = getattr(self, "matrix", None)
-        if A is not None:
-            m.matrix = a * A
-            if isinstance(m.matrix, np.ndarray):
-                m.matrix.setflags(write=False)
+        if self._stored is not None:
+            m._stored, m._shown_dense = a * self._stored, self._shown_dense
+            if isinstance(m._stored, np.ndarray):
+                m._stored.setflags(write=False)
         return m
 
 
@@ -307,7 +330,7 @@ _WRITE_BLOCK = 1 << 16  # lines formatted and written at a time
 def save_triplets(path, op: LinearMap) -> None:
     """Write ``op`` in the triplet text format: `n p nnz` then `i j value`,
     one line per nonzero in row-major order."""
-    A = getattr(op, "matrix", None)
+    A = op._stored
     if A is None:
         A = op.to_dense()
     if not isinstance(A, np.ndarray):  # a scipy sparse matrix

@@ -141,6 +141,7 @@ def test_game_experiment_writes_artifacts(tmp_path):
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "certificates.json").exists()
     assert (tmp_path / "instance_K.txt").exists()
+    assert not (tmp_path / "instance_b.csv").exists()  # g has no shift
     K = load_triplets(tmp_path / "instance_K.txt")
     assert K.shape == (12, 16)
     trace_files = sorted(p.name for p in tmp_path.glob("trace_*.csv"))
@@ -196,9 +197,16 @@ def test_lad_experiment_rows(tmp_path, monkeypatch, name):
                                     {})
     monkeypatch.setattr(metrics, "reference_solution",
                         lambda problem, budget: ref)
+    made = []
+    make_instance = bench.make_instance
+    monkeypatch.setattr(bench, "make_instance",
+                        lambda cfg: made.append(make_instance(cfg)) or made[0])
     report = bench.run_experiment(bench.ExperimentSpec(
         name=name, max_iters=40, out_dir=str(tmp_path)))
     assert report["exit_code"] == 0
+    # both write the b of l1_shifted(b), so the instance is in the artifacts
+    b = np.loadtxt(tmp_path / "instance_b.csv", delimiter=",")
+    assert np.array_equal(b, made[0].problem.g.shift)
     got = [(v["label"], v["certificate"] and v["certificate"]["name"])
            for v in report["variants"]]
     assert got == LAD_ROWS[name]

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,13 @@ def _sparse_400():
                     rng.uniform(-1.0, 1.0, (400, 400)), 0.0)
 
 
+# a CSR-backed and a BLAS-backed array, as ``make`` of the test
+_EACH_KERNEL = pytest.mark.parametrize(
+    "make", [_sparse_400,
+             lambda: np.random.default_rng(3).standard_normal((60, 40))],
+    ids=["csr", "blas"])
+
+
 def _close(a, b, rel=1e-13):
     return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
 
@@ -107,6 +115,42 @@ def test_large_sparse_dense_array_multiplies_through_csr(rng):
     assert np.array_equal(two.matrix, 2.0 * A)
 
 
+@_EACH_KERNEL
+def test_writes_to_the_input_do_not_reach_the_map(rng, make):
+    A = make()
+    op = LinearMap.from_dense(A)
+    x, y = rng.standard_normal(op.cols), rng.standard_normal(op.rows)
+    Kx, Kty, M = op.apply(x), op.adjoint_apply(y), op.matrix.copy()
+    A[:] = 7.0
+    assert np.array_equal(op.apply(x), Kx)
+    assert np.array_equal(op.adjoint_apply(y), Kty)
+    assert np.array_equal(op.matrix, M)
+
+
+def test_csr_backed_map_keeps_no_dense_copy():
+    A = _sparse_400()
+    tracemalloc.start()
+    try:
+        op = LinearMap.from_dense(A)
+        kept, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        two = op.scaled(2.0)
+        scaled_peak = tracemalloc.get_traced_memory()[1] - kept
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        D = op.to_dense()
+        dense_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the CSR pair of 10% nonzeros: 2 x 12 bytes per nonzero, ~0.3 A.nbytes
+    assert kept < A.nbytes / 2
+    # scaling multiplies the CSR copy; to_dense builds one array, no more
+    assert scaled_peak < A.nbytes / 2
+    assert dense_peak < 1.5 * A.nbytes
+    assert np.array_equal(op.matrix, A) and np.array_equal(D, A)
+    assert np.array_equal(two.matrix, 2.0 * A)
+
+
 def test_csr_backed_triplets_match_blas_backed(tmp_path, monkeypatch):
     A = _sparse_400()
     save_triplets(tmp_path / "csr.txt", LinearMap.from_dense(A))
@@ -119,10 +163,7 @@ def test_csr_backed_triplets_match_blas_backed(tmp_path, monkeypatch):
     assert text == _old_triplet_text(blas).encode()
 
 
-@pytest.mark.parametrize("make", [_sparse_400,
-                                  lambda: np.random.default_rng(3)
-                                  .standard_normal((60, 40))],
-                         ids=["csr", "blas"])
+@_EACH_KERNEL
 def test_unit_norm_map_equals_dividing_first(rng, make):
     A = make()
     original = A.copy()
