@@ -13,7 +13,7 @@ from .errors import (CertificateUnavailableError, ConfigurationError,
                      OracleFailureError, UnsupportedMetricError)
 from .linop import LinearMap, estimate_norm
 from .problems import (CompositeProblem, EqConstrainedProblem, MatrixGame,
-                       SemiStrongProblem, WSolver, neg_identity)
+                       SemiStrongProblem, neg_identity)
 from .prox import ProxFunction, conjugate_prox
 
 __version__ = "0.1.0"

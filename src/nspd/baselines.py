@@ -17,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .driver import run
-from .errors import ConfigurationError, InnerSolverError, check_finite
+from .errors import ConfigurationError, check_finite
 from .problems import CompositeProblem, MatrixGame
-from .prox import conjugate_prox, project_simplex
+from .prox import apg, conjugate_prox, project_simplex
 
 __all__ = [
     "BaselineConfig",
@@ -52,6 +52,12 @@ class BaselineConfig:
     output_mode: str = "ergodic"  # "ergodic" | "last_iterate"
     max_iters: int = 1000
     trace_every: int | str = 1
+
+    def __post_init__(self):
+        if self.output_mode not in ("ergodic", "last_iterate"):
+            raise ConfigurationError(
+                f"output_mode must be 'ergodic' or 'last_iterate', "
+                f"got {self.output_mode!r}")
 
     def resolved_beta(self, norm_K: float) -> float:
         beta = self.beta if self.beta is not None else 1.0 / (self.rho * norm_K ** 2)
@@ -133,47 +139,14 @@ class ADMMState:
     r: np.ndarray
     u: np.ndarray  # scaled multiplier, y = rho u
     x_erg: np.ndarray
-    r_erg: np.ndarray
     y_erg: np.ndarray
 
 
 def init_admm_state(problem, x0, y0, rho) -> ADMMState:
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    r0 = problem.K.apply(x0)
-    return ADMMState(k=0, x=x0.copy(), r=r0, u=y0 / rho, x_erg=x0.copy(),
-                     r_erg=r0.copy(), y_erg=y0.copy())
-
-
-def _apg_x_update(problem, rho, target, x_start, tol, max_inner):
-    """min_x f(x) + (rho/2) ||Kx - target||^2 by accelerated proximal
-    gradient with warm start; stops on the gradient-mapping norm."""
-    f, K = problem.f, problem.K
-    L = rho * K.norm ** 2
-    if L == 0.0:
-        # no coupling: the subproblem is min f alone
-        return f.prox(x_start, 1e12)
-
-    def grad(x):
-        return rho * K.adjoint_apply(K.apply(x) - target)
-
-    def mapping_norm(x):
-        return float(np.linalg.norm((x - f.prox(x - grad(x) / L, 1.0 / L)) * L))
-
-    x = x_start.copy()
-    z = x.copy()
-    t = 1.0
-    for _ in range(max_inner):
-        if mapping_norm(x) <= tol:
-            return x
-        x_next = f.prox(z - grad(z) / L, 1.0 / L)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x_next + ((t - 1.0) / t_next) * (x_next - x)
-        x, t = x_next, t_next
-    res = mapping_norm(x)
-    if res <= tol:
-        return x
-    raise InnerSolverError("ADMM x-subproblem APG did not converge", res)
+    return ADMMState(k=0, x=x0.copy(), r=problem.K.apply(x0), u=y0 / rho,
+                     x_erg=x0.copy(), y_erg=y0.copy())
 
 
 def admm_step(state: ADMMState, problem: CompositeProblem,
@@ -186,8 +159,16 @@ def admm_step(state: ADMMState, problem: CompositeProblem,
         # resolvent in closed form when K is the identity
         x_new = f.prox(target, 1.0 / rho)
     else:
-        x_new = _apg_x_update(problem, rho, target, state.x,
-                              cfg.inner_tol, cfg.inner_max)
+        L = rho * K.norm ** 2
+        if L == 0.0:
+            # no coupling: the subproblem is min f alone
+            x_new = f.prox(state.x, 1e12)
+        else:
+            # min_x f(x) + (rho/2) ||Kx - target||^2, warm-started at x_k
+            x_new = apg(f.prox,
+                        lambda x: rho * K.adjoint_apply(K.apply(x) - target),
+                        L, state.x, cfg.inner_tol, cfg.inner_max,
+                        "ADMM x-subproblem")
     Kx = K.apply(x_new)
     r_new = g.prox(Kx + state.u, 1.0 / rho)
     u_new = state.u + Kx - r_new
@@ -195,7 +176,6 @@ def admm_step(state: ADMMState, problem: CompositeProblem,
 
     k1 = state.k + 1
     state.x_erg = state.x_erg + (x_new - state.x_erg) / k1
-    state.r_erg = state.r_erg + (r_new - state.r_erg) / k1
     state.y_erg = state.y_erg + (rho * u_new - state.y_erg) / k1
     state.x = x_new
     state.r = r_new

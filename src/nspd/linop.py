@@ -96,15 +96,15 @@ class LinearMap:
         Estimate of the spectral norm.  If omitted it is computed lazily on
         first access of :attr:`norm` by :func:`estimate_norm`, which returns
         a *lower* estimate (a Ritz value) converged to its ``tol``.
-    norm_is_exact : bool
-        True when ``norm_estimate`` is exact (identity, zero, user-supplied).
     kind : str
-        Construction tag ("dense", "sparse", "identity", "zero", "custom");
-        used for closed-form fast paths.
+        Construction tag ("dense", "sparse", "identity", "zero",
+        "neg_identity", "custom"); it selects closed-form fast paths (K = I
+        in ADMM, B = -I in the semi-strong w-step), so a map that is not
+        exactly the tagged one must not carry it.
     """
 
     def __init__(self, rows, cols, forward, adjoint, *, norm_estimate=None,
-                 norm_is_exact=False, kind="custom"):
+                 kind="custom"):
         if rows <= 0 or cols <= 0:
             raise ValueError("operator dimensions must be positive")
         self.rows = int(rows)
@@ -112,7 +112,6 @@ class LinearMap:
         self._forward = forward
         self._adjoint = adjoint
         self._norm = None if norm_estimate is None else float(norm_estimate)
-        self.norm_is_exact = bool(norm_is_exact)
         self.kind = kind
         # the matrix as kept (an ndarray or a scipy CSR matrix), and whether
         # ``matrix`` shows a CSR-kept one as an ndarray
@@ -161,7 +160,7 @@ class LinearMap:
     # -- constructions -----------------------------------------------------
 
     @classmethod
-    def from_dense(cls, A, norm_estimate=None, norm_is_exact=False) -> "LinearMap":
+    def from_dense(cls, A, norm_estimate=None) -> "LinearMap":
         """Wrap the 2-d array ``A``; ``matrix`` is a read-only copy of it.
 
         Products go through BLAS on a copy of ``A``, unless ``A`` has at
@@ -176,7 +175,7 @@ class LinearMap:
         A, csr = _storage(A)
         if A is not None:
             A.setflags(write=False)
-        return cls._dense_map(A, csr, norm_estimate, norm_is_exact)
+        return cls._dense_map(A, csr, norm_estimate)
 
     @classmethod
     def from_dense_unit_norm(cls, A, **estimate_kwargs) -> "LinearMap":
@@ -202,7 +201,7 @@ class LinearMap:
         return cls._dense_map(A, csr, norm_estimate=1.0)
 
     @classmethod
-    def _dense_map(cls, A, csr, norm_estimate=None, norm_is_exact=False):
+    def _dense_map(cls, A, csr, norm_estimate=None):
         """The map of the array ``A`` multiplied through BLAS, or, when
         ``A`` is None, of the CSR pair ``csr`` = (S, S^T), whose ``matrix``
         is ``S`` rebuilt dense."""
@@ -214,8 +213,7 @@ class LinearMap:
             forward, adjoint = (lambda x: S @ x), (lambda y: St @ y)
             stored = S
         m = cls(stored.shape[0], stored.shape[1], forward, adjoint,
-                norm_estimate=norm_estimate, norm_is_exact=norm_is_exact,
-                kind="dense")
+                norm_estimate=norm_estimate, kind="dense")
         m._stored, m._shown_dense = stored, csr is not None
         return m
 
@@ -239,12 +237,12 @@ class LinearMap:
     @classmethod
     def identity(cls, n) -> "LinearMap":
         return cls(n, n, lambda x: x.copy(), lambda y: y.copy(),
-                   norm_estimate=1.0, norm_is_exact=True, kind="identity")
+                   norm_estimate=1.0, kind="identity")
 
     @classmethod
     def zero(cls, rows, cols) -> "LinearMap":
         return cls(rows, cols, lambda x: np.zeros(rows), lambda y: np.zeros(cols),
-                   norm_estimate=0.0, norm_is_exact=True, kind="zero")
+                   norm_estimate=0.0, kind="zero")
 
     def to_dense(self) -> np.ndarray:
         """Materialize the operator: a copy of its stored matrix, else
@@ -254,26 +252,6 @@ class LinearMap:
             return np.array(A) if isinstance(A, np.ndarray) else A.toarray()
         cols = [self.apply(e) for e in np.eye(self.cols)]
         return np.stack(cols, axis=1)
-
-    def scaled(self, alpha) -> "LinearMap":
-        """Return alpha * K with a rescaled norm estimate.
-
-        The ``kind`` tag survives only for ``alpha == 1``: the fast paths it
-        selects (K = I in ADMM, B = -I in the semistrong w-solver) are wrong
-        for any other multiple.
-        """
-        a = float(alpha)
-        norm = None if self._norm is None else abs(a) * self._norm
-        m = LinearMap(self.rows, self.cols,
-                      lambda x: a * self._forward(x),
-                      lambda y: a * self._adjoint(y),
-                      norm_estimate=norm, norm_is_exact=self.norm_is_exact,
-                      kind=self.kind if a == 1.0 else "custom")
-        if self._stored is not None:
-            m._stored, m._shown_dense = a * self._stored, self._shown_dense
-            if isinstance(m._stored, np.ndarray):
-                m._stored.setflags(write=False)
-        return m
 
 
 def estimate_norm(op: LinearMap, tol: float = 1e-12, max_iters: int = 10_000,

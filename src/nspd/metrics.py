@@ -36,10 +36,8 @@ from .prox import conjugate_prox
 
 __all__ = [
     "Trace",
-    "primal_value",
     "dual_value",
     "lagrangian",
-    "duality_gap",
     "game_gap",
     "Certificate",
     "bound_general_gap",
@@ -126,10 +124,6 @@ class Trace:
 
 # -- evaluators ----------------------------------------------------------------
 
-def primal_value(problem: CompositeProblem, x) -> float:
-    return problem.primal_value(x)
-
-
 def dual_value(problem: CompositeProblem, y) -> float:
     """G(y) = f*(-K^T y) + g*(y); +inf when an indicator is violated."""
     f, g, K = problem.f, problem.g, problem.K
@@ -158,11 +152,6 @@ def lagrangian(problem: CompositeProblem, x, y, Kx=None) -> float:
     if Kx is None:
         Kx = problem.K.apply(x)
     return float(fv + Kx @ np.asarray(y, dtype=float) - gv)
-
-
-def duality_gap(problem: CompositeProblem, x, y) -> float:
-    """F(x) + G(y); nonnegative by weak duality, +inf when either side is."""
-    return primal_value(problem, x) + dual_value(problem, y)
 
 
 def game_gap(game: MatrixGame, x, y, tol: float = 1e-9) -> float:
@@ -540,7 +529,6 @@ class _ArmResult:
     name: str
     best_F: float
     best_x: np.ndarray
-    best_G: float
     best_y: Optional[np.ndarray]
     final_duals: list
 
@@ -593,7 +581,7 @@ def _run_arm(problem, kind, budget, x_start, y_start, obj, merit, dual_val):
                 Gy = dual_val(y)
                 if Gy is not None and Gy < best_G:
                     best_G, best_y = Gy, y.copy()
-    return _ArmResult(name, float(obj(best_x)), best_x, float(best_G), best_y,
+    return _ArmResult(name, float(obj(best_x)), best_x, best_y,
                       [y.copy() for y in dual_points()])
 
 
@@ -630,8 +618,7 @@ def reference_solution(problem: CompositeProblem, budget: int,
     p, n = problem.p, problem.n
     x0 = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float)
     y0 = np.zeros(n) if y0 is None else np.asarray(y0, dtype=float)
-    obj = objective if objective is not None else (
-        lambda x: primal_value(problem, x))
+    obj = objective if objective is not None else problem.primal_value
     sel = merit if merit is not None else obj
     have_conj = (problem.f.conjugate_value is not None
                  and problem.g.conjugate_value is not None)
@@ -672,7 +659,7 @@ def reference_solution(problem: CompositeProblem, budget: int,
                 f"(relative difference {agreement:.3e})", method_values)
         if corr.best_F < champ.best_F:
             champ = _ArmResult(champ.name, corr.best_F, corr.best_x,
-                               champ.best_G, champ.best_y, champ.final_duals)
+                               champ.best_y, champ.final_duals)
 
     duals = [y for a in arms for y in ([a.best_y] if a.best_y is not None
                                        else []) + a.final_duals]

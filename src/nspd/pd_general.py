@@ -23,7 +23,6 @@ import numpy as np
 
 from .driver import run
 from .errors import ConfigurationError, check_finite
-from .linop import LinearMap
 from .problems import CompositeProblem, EqConstrainedProblem
 from .prox import conjugate_prox
 
@@ -41,9 +40,6 @@ __all__ = [
     "constrained_step",
     "solve",
     "solve_constrained",
-    "phi_value",
-    "phi_grad_x",
-    "phi_grad_r",
 ]
 
 
@@ -112,22 +108,6 @@ def resolve_rho0(rho0, gamma, norm_K, x0=None, y0=None, x_ref=None, y_ref=None):
         if dx > 0 and dy > 0:
             return 5.0 * np.sqrt(gamma / (1.0 - gamma)) * dy / (norm_K * dx)
     return 1.0 / norm_K
-
-
-# -- penalized coupling term ----------------------------------------------
-
-def phi_value(K: LinearMap, rho, x, r, y) -> float:
-    """phi_rho(x, r, y) = <y, Kx - r> + (rho/2) ||Kx - r||^2."""
-    d = K.apply(x) - r
-    return float(y @ d) + 0.5 * rho * float(d @ d)
-
-
-def phi_grad_x(K: LinearMap, rho, x, r, y) -> np.ndarray:
-    return K.adjoint_apply(y + rho * (K.apply(x) - r))
-
-
-def phi_grad_r(K: LinearMap, rho, x, r, y) -> np.ndarray:
-    return rho * (r - K.apply(x)) - y
 
 
 # -- merged primal-dual form ------------------------------------------------

@@ -21,8 +21,9 @@ ones produced by that elimination, so both forms generate identical iterates
 
 :func:`semistrong_step` extends the method to min f(x) + psi(w) subject to
 Kx + Bw = b where only f is strongly convex; the w-subproblem is solved
-exactly (closed form for B = -I, inner accelerated proximal gradient
-otherwise) rather than linearized.
+rather than linearized, as ``SemiStrongProblem.w_solver`` says: exactly
+for B = -I (``"closed_form"``), else by the accelerated proximal-gradient
+loop :func:`nspd.prox.apg` to ``StrongOptions.inner_tol`` (``"apg"``).
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .driver import run
-from .errors import ConfigurationError, InnerSolverError, check_finite
+from .errors import ConfigurationError, check_finite
 from .pd_general import _dual_correction
 from .problems import CompositeProblem, SemiStrongProblem
-from .prox import conjugate_prox
+from .prox import apg, conjugate_prox
 
 __all__ = [
     "StrongSchedule",
@@ -298,34 +299,19 @@ def _solve_w_subproblem(problem: SemiStrongProblem, rho, nu0, K_xhat, w_hat,
     """Minimize psi(w) + <B^T y~, w> + (rho/2)||K x^ + Bw - b||^2
     + (nu0/2)||w - w^||^2, exactly for B = -I, else by inner APG."""
     psi, B, b = problem.psi, problem.B, problem.b
-    if problem.w_solver.kind == "closed_form":
+    if problem.w_solver == "closed_form":
         # B = -I: the quadratic collapses to (rho+nu0)/2 ||w - m||^2 - <y~, w>
         m = (rho * (K_xhat - b) + nu0 * w_hat) / (rho + nu0)
         return psi.prox(m + y_tilde / (rho + nu0), 1.0 / (rho + nu0))
 
     Bt_y = B.adjoint_apply(y_tilde)
-    L = rho * B.norm ** 2 + nu0
 
     def grad(w):
         return (Bt_y + rho * B.adjoint_apply(K_xhat + B.apply(w) - b)
                 + nu0 * (w - w_hat))
 
-    w = w_start.copy()
-    z = w.copy()
-    t = 1.0
-    res = np.inf
-    for _ in range(max_inner):
-        w_next = psi.prox(z - grad(z) / L, 1.0 / L)
-        res = float(np.linalg.norm((w - psi.prox(w - grad(w) / L, 1.0 / L)) * L))
-        if res <= tol:
-            return w
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = w_next + ((t - 1.0) / t_next) * (w_next - w)
-        w, t = w_next, t_next
-    res = float(np.linalg.norm((w - psi.prox(w - grad(w) / L, 1.0 / L)) * L))
-    if res <= tol:
-        return w
-    raise InnerSolverError("w-subproblem APG did not converge", res)
+    return apg(psi.prox, grad, rho * B.norm ** 2 + nu0, w_start, tol,
+               max_inner, "w-subproblem")
 
 
 def semistrong_step(state: SemiStrongState, problem: SemiStrongProblem,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,7 +16,6 @@ __all__ = [
     "EqConstrainedProblem",
     "SemiStrongProblem",
     "MatrixGame",
-    "WSolver",
     "neg_identity",
 ]
 
@@ -77,21 +76,15 @@ class EqConstrainedProblem:
 
 
 @dataclass(frozen=True)
-class WSolver:
-    """How the w-subproblem of the semi-strong scheme is solved.
-
-    ``closed_form`` requires B = -Identity and solves the subproblem exactly
-    through one prox of psi; ``apg`` runs an accelerated proximal-gradient
-    inner loop to ``StrongOptions.inner_tol`` on the gradient-mapping norm,
-    for at most ``StrongOptions.inner_max`` iterations.
-    """
-
-    kind: str = "closed_form"  # "closed_form" | "apg"
-
-
-@dataclass(frozen=True)
 class SemiStrongProblem:
-    """min_{x,w} f(x) + psi(w) subject to Kx + Bw = b, f strongly convex."""
+    """min_{x,w} f(x) + psi(w) subject to Kx + Bw = b, f strongly convex.
+
+    ``w_solver`` says how the w-subproblem is solved: ``"closed_form"``
+    requires B = -Identity and takes one prox of psi; ``"apg"`` runs the
+    accelerated proximal-gradient loop :func:`nspd.prox.apg` to
+    ``StrongOptions.inner_tol`` on the gradient-mapping norm, for at most
+    ``StrongOptions.inner_max`` steps.
+    """
 
     f: ProxFunction
     psi: ProxFunction
@@ -99,7 +92,7 @@ class SemiStrongProblem:
     B: LinearMap
     b: np.ndarray
     nu0: Optional[float] = None
-    w_solver: WSolver = field(default_factory=WSolver)
+    w_solver: str = "closed_form"  # "closed_form" | "apg"
 
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
@@ -109,7 +102,11 @@ class SemiStrongProblem:
             raise ConfigurationError("K, B and b disagree on the constraint dimension")
         if self.psi.dim != self.B.cols:
             raise ConfigurationError("psi and B disagree on the w dimension")
-        if self.w_solver.kind == "closed_form" and self.B.kind != "neg_identity":
+        if self.w_solver not in ("closed_form", "apg"):
+            raise ConfigurationError(
+                f"w_solver must be 'closed_form' or 'apg', "
+                f"got {self.w_solver!r}")
+        if self.w_solver == "closed_form" and self.B.kind != "neg_identity":
             raise ConfigurationError(
                 "closed_form w-solver requires B = -Identity (use neg_identity map)")
 
@@ -133,9 +130,8 @@ class SemiStrongProblem:
 
 def neg_identity(n: int) -> LinearMap:
     """The map w -> -w, tagged so the closed-form w-solver can recognize it."""
-    m = LinearMap(n, n, lambda x: -x, lambda y: -y,
-                  norm_estimate=1.0, norm_is_exact=True, kind="neg_identity")
-    return m
+    return LinearMap(n, n, lambda x: -x, lambda y: -y, norm_estimate=1.0,
+                     kind="neg_identity")
 
 
 @dataclass(frozen=True)

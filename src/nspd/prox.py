@@ -8,7 +8,8 @@ smooth terms, closed-form conjugate value and conjugate prox).
 has one (a clip or a projection, cheaper than the detour through the primal
 prox) and otherwise derives it from the primal prox through the Moreau
 decomposition; the tests cross-check every closed form against that
-derivation.
+derivation.  :func:`apg` is the accelerated proximal-gradient inner loop
+that ADMM's x-step and the semi-strong w-step share.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import InnerSolverError
+
 __all__ = [
     "ProxFunction",
     "conjugate_prox",
-    "prox_quadratic_shift",
+    "apg",
     "l1_norm",
     "l1_shifted",
     "elastic_net",
@@ -78,12 +81,34 @@ def conjugate_prox(h: ProxFunction, v: np.ndarray, rho: float) -> np.ndarray:
     return v - rho * h.prox(v / rho, 1.0 / rho)
 
 
-def prox_quadratic_shift(h: ProxFunction, v: np.ndarray, step: float,
-                         linear: np.ndarray) -> np.ndarray:
-    """prox of h(.) + <linear, .> at v, i.e. h.prox(v - step*linear, step)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return h.prox(v - step * np.asarray(linear, dtype=float), step)
+def apg(prox, grad, L, x0, tol, max_inner, what):
+    """min_x h(x) + s(x) by accelerated proximal gradient from ``x0``.
+
+    ``prox(v, step)`` is the prox of h, ``grad`` the gradient of the smooth
+    s and ``L`` its Lipschitz constant.  Returns the first iterate whose
+    gradient-mapping norm ``L ||x - prox(x - grad(x)/L, 1/L)||`` is at most
+    ``tol``, checked before each of at most ``max_inner`` steps and once
+    after the last; otherwise raises :class:`InnerSolverError` naming
+    ``what``.
+    """
+
+    def mapping_norm(x):
+        return float(np.linalg.norm((x - prox(x - grad(x) / L, 1.0 / L)) * L))
+
+    x = np.array(x0, dtype=float)
+    z = x.copy()
+    t = 1.0
+    for _ in range(max_inner):
+        if mapping_norm(x) <= tol:
+            return x
+        x_next = prox(z - grad(z) / L, 1.0 / L)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = x_next + ((t - 1.0) / t_next) * (x_next - x)
+        x, t = x_next, t_next
+    res = mapping_norm(x)
+    if res <= tol:
+        return x
+    raise InnerSolverError(f"{what} APG did not converge", res)
 
 
 def _soft(v, t):

@@ -7,9 +7,9 @@ from nspd import metrics, prox
 from nspd.baselines import (BaselineConfig, admm_step, cp_scvx_step, cp_step,
                             init_admm_state, init_cp_state, smoothing_iterations,
                             smoothing_mu, smoothing_solve, solve_admm, solve_cp)
-from nspd.errors import ConfigurationError
+from nspd.errors import ConfigurationError, InnerSolverError
 from nspd.linop import LinearMap
-from nspd.problems import CompositeProblem, MatrixGame, neg_identity
+from nspd.problems import CompositeProblem, MatrixGame
 
 
 def lad_instance(rng, n=30, p=12, lam=0.1, mu=0.0):
@@ -30,6 +30,12 @@ def test_step_size_invariant_enforced():
     with pytest.raises(ConfigurationError):
         cfg.resolved_beta(norm_K=1.0)
     assert BaselineConfig(rho=2.0).resolved_beta(2.0) == pytest.approx(1 / 8)
+
+
+def test_unknown_output_mode_is_refused():
+    # a misspelt mode used to run the last-iterate output without a word
+    with pytest.raises(ConfigurationError, match="'ergodc'"):
+        BaselineConfig(output_mode="ergodc")
 
 
 def test_cp_zero_instance_stationary():
@@ -95,16 +101,13 @@ def test_admm_identity_matches_closed_form(rng):
 
 
 @pytest.mark.parametrize("make_K", [
-    lambda: LinearMap.identity(3).scaled(2.0),
-    lambda: neg_identity(3).scaled(-2.0),
-    lambda: LinearMap.from_dense(np.eye(3)).scaled(2.0),
+    lambda: LinearMap.from_dense(2.0 * np.eye(3)),
     lambda: LinearMap.from_triplets(3, 3, [0, 1, 2], [0, 1, 2],
-                                    np.ones(3)).scaled(2.0),
-], ids=["identity", "neg_identity", "dense", "sparse"])
+                                    np.full(3, 2.0)),
+], ids=["dense", "sparse"])
 def test_admm_on_scaled_identity_reaches_optimum(make_K):
-    # 0.1||x||_1 + ||2x - b||_1 is minimized at x = b/2; a K = 2I that
-    # still carried the identity tag used to send ADMM down the K = I
-    # closed-form branch and stall at F = 1.31
+    # 0.1||x||_1 + ||2x - b||_1 is minimized at x = b/2; a K = 2I sent down
+    # the K = I closed-form branch would stall at F = 1.31
     b = np.array([1.0, -2.0, 0.5])
     problem = CompositeProblem(prox.l1_norm(3, 0.1), prox.l1_shifted(b),
                                make_K())
@@ -123,6 +126,12 @@ def test_admm_zero_instance_stationary():
     for _ in range(3):
         admm_step(state, problem, cfg)
     assert np.array_equal(state.x, np.ones(p))
+
+
+def test_admm_x_step_that_runs_out_of_steps_raises(rng):
+    cfg = BaselineConfig(rho=1.0, inner_max=1, max_iters=5)
+    with pytest.raises(InnerSolverError, match="ADMM x-subproblem"):
+        solve_admm(lad_instance(rng), np.zeros(12), np.zeros(30), cfg)
 
 
 def test_admm_feasibility_residual_shrinks(rng):

@@ -25,7 +25,7 @@ def counting(K, calls):
         return call
 
     return LinearMap(K.rows, K.cols, counted(K.apply), counted(K.adjoint_apply),
-                     norm_estimate=K.norm, norm_is_exact=True)
+                     norm_estimate=K.norm)
 
 
 # -- instances: those of the acceptance suite, without their references ---------

@@ -8,14 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
-from hypothesis import strategies as st
 
 import nspd
 from nspd import bench, linop
 from nspd.errors import DimensionMismatchError
 from nspd.linop import LinearMap, estimate_norm, load_triplets, save_triplets
-from nspd.problems import neg_identity
 
 
 def test_identity_apply():
@@ -108,11 +105,6 @@ def test_large_sparse_dense_array_multiplies_through_csr(rng):
     assert np.array_equal(op.matrix, A)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 7.0
-    two = op.scaled(2.0)
-    x, y = rng.standard_normal(400), rng.standard_normal(400)
-    assert _close(two.apply(x), 2.0 * (A @ x))
-    assert _close(two.adjoint_apply(y), 2.0 * (A.T @ y))
-    assert np.array_equal(two.matrix, 2.0 * A)
 
 
 @_EACH_KERNEL
@@ -134,21 +126,15 @@ def test_csr_backed_map_keeps_no_dense_copy():
         op = LinearMap.from_dense(A)
         kept, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        two = op.scaled(2.0)
-        scaled_peak = tracemalloc.get_traced_memory()[1] - kept
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
         D = op.to_dense()
-        dense_peak = tracemalloc.get_traced_memory()[1] - before
+        dense_peak = tracemalloc.get_traced_memory()[1] - kept
     finally:
         tracemalloc.stop()
     # the CSR pair of 10% nonzeros: 2 x 12 bytes per nonzero, ~0.3 A.nbytes
     assert kept < A.nbytes / 2
-    # scaling multiplies the CSR copy; to_dense builds one array, no more
-    assert scaled_peak < A.nbytes / 2
+    # to_dense builds one array, no more
     assert dense_peak < 1.5 * A.nbytes
     assert np.array_equal(op.matrix, A) and np.array_equal(D, A)
-    assert np.array_equal(two.matrix, 2.0 * A)
 
 
 def test_csr_backed_triplets_match_blas_backed(tmp_path, monkeypatch):
@@ -302,38 +288,6 @@ def test_norm_game_shaped_converges_in_few_matvecs():
                         max_iters=50_000)
     assert est.converged
     assert calls["apply"] == calls["adjoint"] == est.iterations <= 200
-
-
-_SCALINGS = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, 0.0]) | st.floats(
-    -10.0, 10.0, allow_nan=False)
-
-
-def _kind_map(kind):
-    if kind == "dense":
-        return LinearMap.from_dense([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0],
-                                     [4.0, 0.0, 0.5]])
-    if kind == "sparse":
-        return LinearMap.from_triplets(3, 3, [0, 1, 2], [2, 0, 1],
-                                       [1.5, -2.0, 0.25])
-    if kind == "identity":
-        return LinearMap.identity(3)
-    if kind == "zero":
-        return LinearMap.zero(3, 3)
-    return neg_identity(3)
-
-
-@given(kind=st.sampled_from(["dense", "sparse", "identity", "zero",
-                             "neg_identity"]),
-       alpha=_SCALINGS)
-def test_scaled_keeps_kind_only_when_unchanged(kind, alpha):
-    op = _kind_map(kind)
-    m = op.scaled(alpha)
-    assert np.array_equal(m.to_dense(), alpha * op.to_dense())
-    # the tag selects closed-form fast paths, so it may only survive a
-    # scaling that leaves the map as it was
-    assert (m.kind == op.kind) == (alpha == 1.0)
-    if alpha != 1.0:
-        assert m.kind == "custom"
 
 
 def _old_triplet_text(op):

@@ -9,8 +9,7 @@ from nspd.errors import ConfigurationError, DivergenceError
 from nspd.linop import LinearMap
 from nspd.pd_general import (GeneralSchedule, constrained_beta,
                              constrained_step, init_constrained_state,
-                             init_split_state, init_state, phi_grad_r,
-                             phi_grad_x, phi_value, split_step, step)
+                             init_split_state, init_state, split_step, step)
 from nspd.problems import CompositeProblem, EqConstrainedProblem
 
 
@@ -57,33 +56,6 @@ def test_schedule_rejects_bad_parameters():
         GeneralSchedule(gamma=1.0)
     with pytest.raises(ConfigurationError):
         GeneralSchedule(rho0=0.0)
-
-
-# -- penalized coupling term -----------------------------------------------------
-
-def test_phi_gradients_vanishing_residual(rng):
-    K = LinearMap.from_dense(rng.standard_normal((6, 4)))
-    x = rng.standard_normal(4)
-    r = K.apply(x)
-    y = rng.standard_normal(6)
-    assert np.allclose(phi_grad_x(K, 2.0, x, r, y), K.adjoint_apply(y))
-
-
-def test_phi_quadratic_expansion_identity(rng):
-    # exact second-order expansion of the penalized coupling term
-    K = LinearMap.from_dense(rng.standard_normal((7, 5)))
-    for _ in range(100):
-        rho = float(rng.uniform(0.1, 10))
-        x, x2 = rng.standard_normal(5), rng.standard_normal(5)
-        r, r2 = rng.standard_normal(7), rng.standard_normal(7)
-        y = rng.standard_normal(7)
-        lhs = phi_value(K, rho, x2, r2, y)
-        diff = K.apply(x2 - x) - (r2 - r)
-        rhs = (phi_value(K, rho, x, r, y)
-               + phi_grad_x(K, rho, x, r, y) @ (x2 - x)
-               + phi_grad_r(K, rho, x, r, y) @ (r2 - r)
-               + 0.5 * rho * float(diff @ diff))
-        assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -220,7 +192,7 @@ def test_one_forward_one_adjoint_per_step(rng):
         inner.rows, inner.cols,
         lambda x: (calls.__setitem__("fwd", calls["fwd"] + 1), inner.apply(x))[1],
         lambda y: (calls.__setitem__("adj", calls["adj"] + 1), inner.adjoint_apply(y))[1],
-        norm_estimate=inner.norm, norm_is_exact=True)
+        norm_estimate=inner.norm)
     problem2 = CompositeProblem(problem.f, problem.g, wrapped)
     sched = GeneralSchedule(c=1.0, gamma=0.5, rho0=1.0, norm_K=wrapped.norm)
     state = init_state(problem2, np.zeros(5), np.zeros(8))

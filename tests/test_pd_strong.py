@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from nspd import pd_strong, prox
-from nspd.errors import ConfigurationError
+from nspd.errors import ConfigurationError, InnerSolverError
 from nspd.linop import LinearMap
 from nspd.pd_strong import (StrongOptions, StrongSchedule, init_semistrong_state,
                             init_split_state, init_state, semistrong_step,
                             split_step, step)
-from nspd.problems import (CompositeProblem, SemiStrongProblem, WSolver,
-                           neg_identity)
+from nspd.problems import CompositeProblem, SemiStrongProblem, neg_identity
 
 
 def elastic_instance(rng, n=50, p=20, lam=0.05, mu=0.1):
@@ -211,8 +210,7 @@ def test_w_subproblem_apg_matches_closed_form(rng):
     psi = prox.l1_norm(q, 0.3)
     closed = SemiStrongProblem(f, psi, K, neg_identity(n), b, nu0=0.5)
     general = SemiStrongProblem(
-        f, psi, K, neg_identity(n), b, nu0=0.5,
-        w_solver=WSolver(kind="apg"))
+        f, psi, K, neg_identity(n), b, nu0=0.5, w_solver="apg")
     sched = StrongSchedule(1, 0.75, mu_f=0.4, norm_K=K.norm)
     s1 = init_semistrong_state(closed, np.zeros(p), np.zeros(q), np.zeros(n))
     s2 = init_semistrong_state(general, np.zeros(p), np.zeros(q), np.zeros(n))
@@ -236,7 +234,7 @@ def test_semistrong_step_reuses_the_residual(rng):
 
     counting = LinearMap(K.rows, K.cols, counted("fwd", K.apply),
                          counted("adj", K.adjoint_apply),
-                         norm_estimate=K.norm, norm_is_exact=True)
+                         norm_estimate=K.norm)
     problem = SemiStrongProblem(problem.f, problem.psi, counting, problem.B,
                                 problem.b)
     sched = StrongSchedule(1, 0.75, mu_f=problem.f.mu, norm_K=K.norm)
@@ -250,6 +248,26 @@ def test_semistrong_step_reuses_the_residual(rng):
                               K.apply(state.x) + problem.B.apply(state.w)
                               - problem.b)
     assert calls == {"fwd": 20, "adj": 10}  # K x^ and K x_{k+1} per step
+
+
+def test_w_subproblem_apg_that_runs_out_of_steps_raises(rng):
+    K = LinearMap.from_dense(rng.standard_normal((4, 5)))
+    B = LinearMap.from_dense(rng.standard_normal((4, 3)))
+    general = SemiStrongProblem(prox.elastic_net(5, 0.1, 0.2),
+                                prox.zero(3), K, B, rng.standard_normal(4),
+                                w_solver="apg")
+    sched = StrongSchedule(1, 0.75, mu_f=0.2, norm_K=K.norm)
+    state = init_semistrong_state(general, np.zeros(5), np.zeros(3),
+                                  np.zeros(4))
+    with pytest.raises(InnerSolverError, match="w-subproblem APG"):
+        semistrong_step(state, general, sched, StrongOptions(inner_max=1))
+
+
+def test_unknown_w_solver_is_refused(rng):
+    problem = semistrong_instance(rng)
+    with pytest.raises(ConfigurationError, match="'bogus'"):
+        SemiStrongProblem(problem.f, problem.psi, problem.K, problem.B,
+                          problem.b, w_solver="bogus")
 
 
 def test_closed_form_requires_neg_identity(rng):
@@ -298,5 +316,5 @@ def test_nu0_defaults():
     B = LinearMap.from_dense(rng.standard_normal((4, 3)))
     general = SemiStrongProblem(prox.elastic_net(5, 0.1, 0.2),
                                 prox.l1_norm(3, 0.1), K, B, np.zeros(4),
-                                w_solver=WSolver(kind="apg"))
+                                w_solver="apg")
     assert general.resolved_nu0() == 1.0

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nspd.prox import (_soft, conjugate_prox, elastic_net, l1_norm, l1_shifted,
-                       point_indicator, project_simplex, prox_quadratic_shift,
+from nspd.prox import (_soft, apg, conjugate_prox, elastic_net, l1_norm,
+                       l1_shifted, point_indicator, project_simplex,
                        quadratic, simplex_indicator, simplex_support,
                        squared_l2, zero)
 
@@ -242,15 +242,12 @@ def test_simplex_projection_grid_oracle():
     assert np.sum((u - v) ** 2) <= d.min() + 1e-9
 
 
-def test_prox_quadratic_shift():
-    h = l1_norm(2, 1.0)
-    out = prox_quadratic_shift(h, np.array([1.0, 1.0]), 1.0, np.array([1.0, 0.0]))
-    assert np.allclose(out, [0.0, 0.0])
-    z = zero(3)
-    v = np.array([1.0, 2.0, 3.0])
-    lin = np.array([0.5, 0.5, 0.5])
-    assert np.allclose(prox_quadratic_shift(z, v, 2.0, lin), v - 2.0 * lin)
-    assert np.allclose(prox_quadratic_shift(z, v, 2.0, np.zeros(3)), v)
+def test_apg_reaches_the_prox_of_a_quadratic(rng):
+    # min lam ||x||_1 + (1/2) ||x - c||^2 is the soft-threshold of c
+    c = rng.standard_normal(6)
+    h = l1_norm(6, 0.3)
+    x = apg(h.prox, lambda x: x - c, 1.0, np.zeros(6), 1e-12, 100, "test")
+    assert np.allclose(x, _soft(c, 0.3), atol=1e-12)
 
 
 def test_quadratic_prox_is_resolvent(rng):
