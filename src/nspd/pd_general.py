@@ -8,10 +8,10 @@ explicit and alternately minimizes the penalized Lagrangian; eliminating r
 through the Moreau decomposition reproduces the merged update exactly, which
 the test suite uses as a mutual cross-check.
 
-A specialization for equality-constrained problems min f + psi s.t. Kx = b
-with smooth psi is provided by :func:`constrained_step`, where the dual prox
-degenerates to a multiplier ascent step and beta_k absorbs the curvature of
-psi.
+Equality-constrained problems min f + psi s.t. Kx = b with smooth psi
+(:func:`solve_constrained`) run the same :func:`step` on g the indicator of
+{b}, whose conjugate prox is a multiplier ascent step; the step adds
+grad psi(x^_k) to the x-gradient and beta_k absorbs the curvature of psi.
 """
 
 from __future__ import annotations
@@ -24,20 +24,17 @@ import numpy as np
 from .driver import run
 from .errors import ConfigurationError, check_finite
 from .problems import CompositeProblem, EqConstrainedProblem
-from .prox import conjugate_prox
+from .prox import ProxFunction, conjugate_prox, point_indicator
 
 __all__ = [
     "GeneralSchedule",
     "GeneralOptions",
     "PDState",
     "RawState",
-    "ConstrState",
     "init_state",
     "step",
     "init_split_state",
     "split_step",
-    "init_constrained_state",
-    "constrained_step",
     "solve",
     "solve_constrained",
 ]
@@ -165,8 +162,19 @@ def _dual_correction(state, y_new, K_x_new, tau, rho, eta):
     return state.y_tilde + eta * (u - (1.0 - tau) * state.u), u
 
 
-def step(state: PDState, problem: CompositeProblem, sched: GeneralSchedule) -> PDState:
-    """One iteration of the merged primal-dual update."""
+def constrained_beta(sched: GeneralSchedule, rho: float, L_psi: float) -> float:
+    """Primal step absorbing the curvature of the smooth term."""
+    return sched.gamma / (sched.norm_K ** 2 * rho + sched.gamma * L_psi)
+
+
+def step(state: PDState, problem: CompositeProblem, sched: GeneralSchedule,
+         psi: Optional[ProxFunction] = None) -> PDState:
+    """One iteration of the merged primal-dual update.
+
+    A smooth term ``psi`` of the primal objective, when given, is
+    linearized at x^_k: its gradient joins K^T y_{k+1} and beta_k comes
+    from :func:`constrained_beta`.
+    """
     k = state.k
     tau, rho, beta, eta = sched.at(k)
     tau_next = sched.tau(k + 1)
@@ -175,7 +183,12 @@ def step(state: PDState, problem: CompositeProblem, sched: GeneralSchedule) -> P
 
     y_new = conjugate_prox(g, state.y_tilde + rho * state.K_xhat, rho)
     Kt_y = K.adjoint_apply(y_new)
-    x_new = f.prox(state.x_hat - beta * Kt_y, beta)
+    if psi is None:
+        x_new = f.prox(state.x_hat - beta * Kt_y, beta)
+    else:
+        beta = constrained_beta(sched, rho, psi.smooth_lipschitz)
+        x_new = f.prox(state.x_hat - beta * (Kt_y + psi.gradient(state.x_hat)),
+                       beta)
 
     momentum = tau_next * (1.0 - tau) / tau
     x_hat_new = x_new + momentum * (x_new - state.x)
@@ -259,69 +272,6 @@ def split_step(state: RawState, problem: CompositeProblem,
     return state
 
 
-# -- equality-constrained specialization ------------------------------------
-
-@dataclass
-class ConstrState:
-    k: int
-    x: np.ndarray
-    x_hat: np.ndarray
-    y: np.ndarray
-    y_tilde: np.ndarray
-    y_bar: np.ndarray
-    K_x: np.ndarray
-    K_xhat: np.ndarray
-
-
-def constrained_beta(sched: GeneralSchedule, rho: float, L_psi: float) -> float:
-    """Primal step absorbing the curvature of the smooth term."""
-    return sched.gamma / (sched.norm_K ** 2 * rho + sched.gamma * L_psi)
-
-
-def init_constrained_state(problem: EqConstrainedProblem, x0, y0) -> ConstrState:
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    Kx0 = problem.K.apply(x0)
-    return ConstrState(k=0, x=x0.copy(), x_hat=x0.copy(), y=y0.copy(),
-                       y_tilde=y0.copy(), y_bar=y0.copy(), K_x=Kx0,
-                       K_xhat=Kx0.copy())
-
-
-def constrained_step(state: ConstrState, problem: EqConstrainedProblem,
-                     sched: GeneralSchedule) -> ConstrState:
-    """One iteration of the equality-constrained specialization."""
-    k = state.k
-    tau, rho, _, eta = sched.at(k)
-    beta = constrained_beta(sched, rho, problem.psi.smooth_lipschitz)
-    tau_next = sched.tau(k + 1)
-    f, psi, K, b = problem.f, problem.psi, problem.K, problem.b
-
-    y_new = state.y_tilde + rho * (state.K_xhat - b)
-    x_new = f.prox(state.x_hat
-                   - beta * (K.adjoint_apply(y_new) + psi.gradient(state.x_hat)),
-                   beta)
-    momentum = tau_next * (1.0 - tau) / tau
-    x_hat_new = x_new + momentum * (x_new - state.x)
-
-    K_x_new = K.apply(x_new)
-    K_xhat_new = K_x_new + momentum * (K_x_new - state.K_x)
-
-    y_tilde_new = state.y_tilde + eta * (K_x_new - (1.0 - tau) * state.K_x - tau * b)
-    y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
-
-    check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
-
-    state.x = x_new
-    state.x_hat = x_hat_new
-    state.y = y_new
-    state.y_tilde = y_tilde_new
-    state.y_bar = y_bar_new
-    state.K_x = K_x_new
-    state.K_xhat = K_xhat_new
-    state.k = k + 1
-    return state
-
-
 # -- drivers -----------------------------------------------------------------
 
 def _schedule(problem, opts: GeneralOptions, x0, y0, x_ref, y_ref):
@@ -353,11 +303,14 @@ def solve(problem: CompositeProblem, x0, y0, opts: GeneralOptions,
 
 def solve_constrained(problem: EqConstrainedProblem, x0, y0, opts: GeneralOptions,
                       recorder=None, x_ref=None, y_ref=None):
-    """Run the equality-constrained specialization; the recorder gets
-    ``Kx=K x``, and ``opts.tol`` applies to what it returns."""
+    """Run :func:`step` on f + indicator_{b}(Kx) with ``problem.psi`` as
+    the smooth term; the recorder gets ``Kx=K x``, and ``opts.tol``
+    applies to what it returns."""
+    composite = CompositeProblem(problem.f, point_indicator(problem.b),
+                                 problem.K)
     sched = _schedule(problem, opts, x0, y0, x_ref, y_ref)
-    state = init_constrained_state(problem, x0, y0)
-    state = run(lambda s: constrained_step(s, problem, sched), state,
+    state = init_state(composite, x0, y0)
+    state = run(lambda s: step(s, composite, sched, psi=problem.psi), state,
                 opts.max_iters, opts.trace_every, recorder,
                 lambda s: (s.x, s.y_bar, {"Kx": s.K_x}), opts.tol)
     return state, sched

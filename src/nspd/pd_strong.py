@@ -129,7 +129,7 @@ class StrongOptions:
     trace_every: Union[int, str] = 1
     inner_tol: float = 1e-10
     inner_max: int = 500
-    averaging_x: bool = False  # replace the second prox by plain averaging
+    averaging_x: bool = False  # solve only: average in place of the second prox
     enforce_rho0_bound: bool = True
 
 
@@ -385,6 +385,10 @@ def solve_semistrong(problem: SemiStrongProblem, x0, w0, y0,
                      opts: StrongOptions, recorder=None):
     """Run the semi-strongly convex constrained scheme; the recorder gets
     ``w`` and the constraint residual ``resid = K x + B w - b``."""
+    if opts.averaging_x:
+        raise ConfigurationError(
+            "averaging_x is not implemented for the semi-strong scheme; "
+            "leave it False")
     sched = _make_schedule(problem.f.mu, problem.K.norm, opts)
     state = init_semistrong_state(problem, x0, w0, y0)
     state = run(lambda s: semistrong_step(s, problem, sched, opts), state,

@@ -139,6 +139,21 @@ def test_recorders_use_the_handed_products(case):
         assert np.isinf(G_h).all()  # f* is an indicator that y_bar leaves
 
 
+def test_constrained_solve_takes_one_product_each_way_per_step():
+    """The merged step on the point-indicator composite keeps the
+    specialization's cost: K x^ is carried, so a step applies K once (to
+    x_{k+1}) and K^T once (to y_{k+1}), and the recorder adds none."""
+    fwd, adj = [0], [0]
+    problem = constrained([0])
+    K = problem.K
+    counted = LinearMap(K.rows, K.cols, counting(K, fwd).apply,
+                        counting(K, adj).adjoint_apply, norm_estimate=K.norm)
+    problem = EqConstrainedProblem(problem.f, problem.psi, counted, problem.b)
+    _constrained_solve(problem, metrics.constrained_recorder(
+        problem, metrics.Trace()))
+    assert (fwd[0], adj[0]) == (ITERS + 1, ITERS)  # + K x0 at the start
+
+
 def test_recorded_iterates_equal_bare_ones():
     """Carrying K^T y_bar for a recorder leaves every iterate unchanged."""
     for make_problem, solve in ((lad1, CASES["lad1_c2"][2]),

@@ -8,7 +8,6 @@ from nspd import pd_general, prox
 from nspd.errors import ConfigurationError, DivergenceError
 from nspd.linop import LinearMap
 from nspd.pd_general import (GeneralSchedule, constrained_beta,
-                             constrained_step, init_constrained_state,
                              init_split_state, init_state, split_step, step)
 from nspd.problems import CompositeProblem, EqConstrainedProblem
 
@@ -203,7 +202,7 @@ def test_one_forward_one_adjoint_per_step(rng):
     assert calls["adj"] == 10
 
 
-# -- equality-constrained specialization ----------------------------------------------
+# -- equality-constrained problems: the merged step with a smooth term -----------------
 
 def constrained_instance(rng, n=10, p=20):
     K = LinearMap.from_dense(rng.standard_normal((n, p)))
@@ -213,6 +212,12 @@ def constrained_instance(rng, n=10, p=20):
                                 K, b)
 
 
+def as_composite(problem):
+    """f + indicator_{b}(Kx): the problem solve_constrained steps on."""
+    return CompositeProblem(problem.f, prox.point_indicator(problem.b),
+                            problem.K)
+
+
 def test_constrained_hand_step():
     # p=2, n=1, K=[1,1], b=1, f=0, psi=||x||^2/2, zero start
     K = LinearMap.from_dense([[1.0, 1.0]])
@@ -220,10 +225,11 @@ def test_constrained_hand_step():
                                    np.array([1.0]))
     sched = GeneralSchedule(c=1.0, gamma=0.5, rho0=1.0, norm_K=np.sqrt(2.0))
     assert sched.norm_K ** 2 == pytest.approx(2.0)
-    state = init_constrained_state(problem, np.zeros(2), np.zeros(1))
+    composite = as_composite(problem)
+    state = init_state(composite, np.zeros(2), np.zeros(1))
     beta0 = constrained_beta(sched, 1.0, 1.0)
     assert beta0 == pytest.approx(0.2)
-    constrained_step(state, problem, sched)
+    step(state, composite, sched, psi=problem.psi)
     assert np.allclose(state.y, [-1.0])
     assert np.allclose(state.x, [0.2, 0.2])
 
@@ -233,9 +239,10 @@ def test_constrained_trivial_solution_at_origin():
     problem = EqConstrainedProblem(prox.point_indicator(np.zeros(2)),
                                    prox.zero(2), K, np.zeros(2))
     sched = GeneralSchedule(c=1.0, gamma=0.5, rho0=1.0, norm_K=1.0)
-    state = init_constrained_state(problem, np.zeros(2), np.zeros(2))
+    composite = as_composite(problem)
+    state = init_state(composite, np.zeros(2), np.zeros(2))
     for _ in range(5):
-        constrained_step(state, problem, sched)
+        step(state, composite, sched, psi=problem.psi)
     assert np.allclose(state.x, np.zeros(2))
     assert problem.feasibility(state.x) == 0.0
 
@@ -243,16 +250,63 @@ def test_constrained_trivial_solution_at_origin():
 def test_constrained_feasibility_decays_like_1_over_k(rng):
     problem = constrained_instance(rng)
     sched = GeneralSchedule(c=1.0, gamma=0.5, rho0=1.0, norm_K=problem.K.norm)
-    state = init_constrained_state(problem, np.zeros(20), np.zeros(10))
+    composite = as_composite(problem)
+    state = init_state(composite, np.zeros(20), np.zeros(10))
     ks, feas = [], []
     for k in range(1, 4001):
-        constrained_step(state, problem, sched)
+        step(state, composite, sched, psi=problem.psi)
         if k >= 20 and k % 4 == 0:
             ks.append(k)
             feas.append(problem.feasibility(state.x))
     from nspd.metrics import rate_slope
     assert rate_slope(ks, feas, 40, 4000) <= -0.8
     assert feas[-1] < feas[0] / 50
+
+
+def dedicated_constrained_step(s, problem, sched):
+    """The equality-constrained update as a step of its own: a multiplier
+    ascent on K x^ - b and a dual correction formed from K x - b."""
+    k = s["k"]
+    tau, rho, _, eta = sched.at(k)
+    beta = constrained_beta(sched, rho, problem.psi.smooth_lipschitz)
+    f, psi, K, b = problem.f, problem.psi, problem.K, problem.b
+    y = s["y_tilde"] + rho * (s["K_xhat"] - b)
+    x = f.prox(s["x_hat"] - beta * (K.adjoint_apply(y)
+                                    + psi.gradient(s["x_hat"])), beta)
+    momentum = sched.tau(k + 1) * (1.0 - tau) / tau
+    K_x = K.apply(x)
+    s.update(
+        k=k + 1, x=x, y=y,
+        x_hat=x + momentum * (x - s["x"]),
+        K_xhat=K_x + momentum * (K_x - s["K_x"]),
+        y_tilde=s["y_tilde"] + eta * (K_x - (1.0 - tau) * s["K_x"] - tau * b),
+        y_bar=(1.0 - tau) * s["y_bar"] + tau * y, K_x=K_x)
+
+
+def test_merged_step_matches_the_dedicated_constrained_update():
+    # the criterion-5b instance; the two forms differ only in rounding: the
+    # merged correction reads (y_{k+1} - y~_k)/rho_k where the dedicated
+    # one reads K x^_k - b
+    rng = np.random.default_rng(500)
+    n, p = 40, 80
+    K = LinearMap.from_dense(rng.standard_normal((n, p)))
+    b = K.apply(rng.standard_normal(p))
+    problem = EqConstrainedProblem(prox.l1_norm(p, 0.1),
+                                   prox.squared_l2(p, 1.0), K, b)
+    sched = GeneralSchedule(c=1.0, gamma=0.9, rho0=1.0, norm_K=K.norm)
+    composite = as_composite(problem)
+    merged = init_state(composite, np.zeros(p), np.zeros(n))
+    Kx0 = K.apply(np.zeros(p))
+    ref = dict(k=0, x=np.zeros(p), x_hat=np.zeros(p), y=np.zeros(n),
+               y_tilde=np.zeros(n), y_bar=np.zeros(n), K_x=Kx0,
+               K_xhat=Kx0.copy())
+    for _ in range(2000):
+        step(merged, composite, sched, psi=problem.psi)
+        dedicated_constrained_step(ref, problem, sched)
+    for name in ("x", "y_bar"):
+        want = ref[name]
+        assert np.linalg.norm(getattr(merged, name) - want) \
+            <= 1e-9 * np.linalg.norm(want), name
 
 
 def test_constrained_requires_gradient():

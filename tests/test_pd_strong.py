@@ -221,6 +221,34 @@ def test_w_subproblem_apg_matches_closed_form(rng):
     assert np.linalg.norm(s1.x - s2.x) <= 1e-7
 
 
+def test_w_subproblem_apg_matches_a_linear_solve(rng):
+    # psi = (m/2)||w||^2 and a dense B with fewer rows than columns: the
+    # w-subproblem's minimizer solves
+    #   ((m + nu0) I + rho B^T B) w = nu0 w^ - B^T y~ - rho B^T (K x^ - b).
+    # A small K allows a large rho0, so the subproblem is ill-conditioned
+    # (L/mu ~ 130) and APG runs thousands of momentum steps, where B = -I
+    # lands on the minimizer in one.
+    n, p, q, m, nu0 = 4, 9, 7, 0.1, 0.0
+    K = LinearMap.from_dense(0.1 * rng.standard_normal((n, p)))
+    Bm = rng.standard_normal((n, q))
+    b = rng.standard_normal(n)
+    problem = SemiStrongProblem(prox.elastic_net(p, 0.1, 0.4),
+                                prox.squared_l2(q, m), K,
+                                LinearMap.from_dense(Bm), b, nu0=nu0,
+                                w_solver="apg")
+    sched = StrongSchedule(1, 0.75, mu_f=0.4, norm_K=K.norm)
+    x0, w0, y0 = (rng.standard_normal(p), rng.standard_normal(q),
+                  rng.standard_normal(n))
+    rho = sched.at(0)[1]
+    A = (m + nu0) * np.eye(q) + rho * Bm.T @ Bm
+    rhs = nu0 * w0 - Bm.T @ y0 - rho * Bm.T @ (K.apply(x0) - b)
+    w_star = np.linalg.solve(A, rhs)
+    state = init_semistrong_state(problem, x0, w0, y0)
+    semistrong_step(state, problem, sched,
+                    StrongOptions(inner_tol=1e-12, inner_max=20_000))
+    assert np.linalg.norm(state.w - w_star) <= 1e-9 * np.linalg.norm(w_star)
+
+
 def test_semistrong_step_reuses_the_residual(rng):
     problem = semistrong_instance(rng)
     K = problem.K
@@ -268,6 +296,14 @@ def test_unknown_w_solver_is_refused(rng):
     with pytest.raises(ConfigurationError, match="'bogus'"):
         SemiStrongProblem(problem.f, problem.psi, problem.K, problem.B,
                           problem.b, w_solver="bogus")
+
+
+def test_semistrong_refuses_averaging_x(rng):
+    problem = semistrong_instance(rng)
+    opts = StrongOptions(case=1, gamma=0.75, max_iters=5, averaging_x=True)
+    with pytest.raises(ConfigurationError, match="averaging_x"):
+        pd_strong.solve_semistrong(problem, np.zeros(18), np.zeros(12),
+                                   np.zeros(12), opts)
 
 
 def test_closed_form_requires_neg_identity(rng):
