@@ -178,6 +178,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"scale must be 'desk' or 'paper', got {self.scale!r}")
         check_trace_every(self.trace_every)
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
 
 
 @dataclass
@@ -415,7 +417,7 @@ def _run_rows(spec: ExperimentSpec, exp: _Experiment) -> dict:
             ref = metrics.reference_solution(inst.problem,
                                              spec.reference_budget)
         except OracleFailureError as exc:
-            return _report([], [], 3) | {"oracle_error": str(exc)}
+            return _report(inst, [], [], 3) | {"oracle_error": str(exc)}
 
     rows, extras = exp.rows(inst, norm_K, ref)
     offset = ref.F if ref is not None else 0.0
@@ -445,13 +447,16 @@ def _run_rows(spec: ExperimentSpec, exp: _Experiment) -> dict:
             cert.to_dict() if cert else None, ok, err, wall))
 
     metrics.certificates_to_json(certs, out("certificates.json"))
-    return _report(variants, certs, 2 if spec.check and failed else 0) | extras
+    return _report(inst, variants, certs,
+                   2 if spec.check and failed else 0) | extras
 
 
-def _report(variants, certs, exit_code):
+def _report(inst, variants, certs, exit_code):
     return {
         "variants": [asdict(v) for v in variants],
         "certificates": [c.to_dict() for c in certs],
+        "terms": {t: {"kind": h.kind, "params": h.scalar_params}
+                  for t, h in (("f", inst.problem.f), ("g", inst.problem.g))},
         "oracle_ok": exit_code != 3,
         "exit_code": exit_code,
     }

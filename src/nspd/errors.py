@@ -62,7 +62,7 @@ class UnsupportedMetricError(ValueError):
 
 
 class OracleFailureError(RuntimeError):
-    """The two reference solvers disagree; no trusted optimum is available."""
+    """No certified optimum: the oracle has no exact arm or a gate failed."""
 
     def __init__(self, message, values=None):
         super().__init__(message)

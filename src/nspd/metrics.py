@@ -1,5 +1,6 @@
 """Objective/gap evaluators, worst-case bound certificates, the empirical
-rate-slope estimator, and the two-solver reference oracle.
+rate-slope estimator, and the reference oracle: an exact solve for each
+(f, g) pair it knows, corroborated by the non-stationary method.
 
 A :class:`Certificate` packages an evaluated bound constant together with
 the decay shape it multiplies (1/(2k), 1/(k+c-1), 2/(k+1)^2, 1/(k+c-1)^2).
@@ -24,23 +25,23 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import time
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
+from . import pd_general, pd_strong
+from .driver import run
 from .errors import (CertificateUnavailableError, OracleFailureError,
                      UnsupportedMetricError)
 from .problems import CompositeProblem, MatrixGame
-from .prox import conjugate_prox
 
 __all__ = [
     "Trace",
     "dual_value",
     "lagrangian",
-    "game_gap",
     "Certificate",
-    "bound_general_gap",
     "certificate_general_primal",
     "certificate_general_fast",
     "certificate_strong_primal",
@@ -152,19 +153,6 @@ def lagrangian(problem: CompositeProblem, x, y, Kx=None) -> float:
     if Kx is None:
         Kx = problem.K.apply(x)
     return float(fv + Kx @ np.asarray(y, dtype=float) - gv)
-
-
-def game_gap(game: MatrixGame, x, y, tol: float = 1e-9) -> float:
-    """max_i (Kx)_i - min_j (K^T y)_j for simplex-feasible x, y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for v, d, name in ((x, game.p, "x"), (y, game.n, "y")):
-        if v.shape != (d,):
-            raise UnsupportedMetricError(f"{name} has wrong dimension")
-        if abs(float(np.sum(v)) - 1.0) > tol or float(np.min(v)) < -tol:
-            raise UnsupportedMetricError(
-                f"{name} is not on the simplex within tolerance {tol}")
-    return float(np.max(game.K.apply(x)) - np.min(game.K.adjoint_apply(y)))
 
 
 # -- recorders -----------------------------------------------------------------
@@ -280,7 +268,9 @@ class Certificate:
         return self.constant * self.shape(k)
 
     def check(self, ks, values):
-        """Return (holds, worst_margin, worst_k); margin = value - bound - slack."""
+        """Return (holds, worst_margin, worst_k); margin = value - bound -
+        slack.  It does not hold when no record with k >= 1 and a finite
+        value was checked."""
         worst = -np.inf
         worst_k = None
         for k, v in zip(ks, values):
@@ -289,7 +279,7 @@ class Certificate:
             m = v - self.bound_at(int(k)) - self.slack
             if m > worst:
                 worst, worst_k = m, int(k)
-        return bool(worst <= 0.0), float(worst), worst_k
+        return bool(worst_k is not None and worst <= 0), float(worst), worst_k
 
     def to_dict(self):
         return {"name": self.name, "constant": self.constant,
@@ -303,19 +293,8 @@ def _shape_half_k(k):
     return 1.0 / (2.0 * k)
 
 
-def bound_general_gap(x0, y0, x_ref, y_ref, rho0, gamma, norm_K, k) -> float:
-    """Worst-case Lagrangian-gap bound of the general method with c = 1:
-    (1/(2k)) [rho0 ||K||^2 ||x0-x||^2 / gamma + ||y0-y||^2 / ((1-gamma) rho0)]."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    dx2 = float(np.sum((np.asarray(x0, float) - np.asarray(x_ref, float)) ** 2))
-    dy2 = float(np.sum((np.asarray(y0, float) - np.asarray(y_ref, float)) ** 2))
-    c = rho0 * norm_K ** 2 * dx2 / gamma + dy2 / ((1.0 - gamma) * rho0)
-    return c / (2.0 * k)
-
-
-def certificate_general_primal(x0, y0, x_star, M_g, rho0, gamma, norm_K,
-                               reference_source="numerical") -> Certificate:
+def certificate_general_primal(x0, y0, x_star, M_g, rho0, gamma,
+                               norm_K) -> Certificate:
     """Primal residual certificate for the general method with c = 1.
 
     F(x_k) - F* <= (1/(2k)) [rho0 ||K||^2 ||x0-x*||^2/gamma
@@ -328,14 +307,12 @@ def certificate_general_primal(x0, y0, x_star, M_g, rho0, gamma, norm_K,
     Dg = float(np.linalg.norm(y0)) + M_g
     const = rho0 * norm_K ** 2 * dx2 / gamma + Dg ** 2 / ((1.0 - gamma) * rho0)
     return Certificate("general_primal", const, 1, _shape_half_k, "1/(2k)",
-                       reference_source,
-                       {"rho0": rho0, "gamma": gamma, "norm_K": norm_K,
-                        "dx": math.sqrt(dx2), "D_g": Dg})
+                       inputs={"rho0": rho0, "gamma": gamma, "norm_K": norm_K,
+                               "dx": math.sqrt(dx2), "D_g": Dg})
 
 
 def certificate_general_fast(c, F0_minus_Fstar, x0, y0, x_star, y_star, M_g,
-                             rho0, gamma, norm_K,
-                             reference_source="numerical") -> Certificate:
+                             rho0, gamma, norm_K) -> Certificate:
     """Primal residual certificate for the general method with c > 1.
 
     R0^2 = (c-1)[F(x0)-F*] + (c/2)[rho0||K||^2||x0-x*||^2/gamma
@@ -355,13 +332,12 @@ def certificate_general_fast(c, F0_minus_Fstar, x0, y0, x_star, y_star, M_g,
     R1sq = R0sq + math.sqrt(2.0 * c / rho0) * (float(np.linalg.norm(y_star)) + M_g) * R0
     return Certificate("general_fast", R1sq, 1,
                        lambda k: 1.0 / (k + c - 1.0), "1/(k+c-1)",
-                       reference_source,
-                       {"c": c, "rho0": rho0, "gamma": gamma,
-                        "norm_K": norm_K, "R0_sq": R0sq})
+                       inputs={"c": c, "rho0": rho0, "gamma": gamma,
+                               "norm_K": norm_K, "R0_sq": R0sq})
 
 
-def certificate_strong_primal(x0, y0, x_star, M_g, rho0, gamma, norm_K,
-                              reference_source="numerical") -> Certificate:
+def certificate_strong_primal(x0, y0, x_star, M_g, rho0, gamma,
+                              norm_K) -> Certificate:
     """Primal residual certificate for the strongly convex method, Case 1.
 
     F(x_k) - F* <= (2/(k+1)^2) [rho0 ||K||^2 ||x0-x*||^2 / Gamma
@@ -375,14 +351,12 @@ def certificate_strong_primal(x0, y0, x_star, M_g, rho0, gamma, norm_K,
     const = rho0 * norm_K ** 2 * dx2 / Gamma + Dg ** 2 / ((1.0 - gamma) * rho0)
     return Certificate("strong_primal", const, 2,
                        lambda k: 2.0 / (k + 1.0) ** 2, "2/(k+1)^2",
-                       reference_source,
-                       {"rho0": rho0, "gamma": gamma, "Gamma": Gamma,
-                        "norm_K": norm_K, "D_g": Dg})
+                       inputs={"rho0": rho0, "gamma": gamma, "Gamma": Gamma,
+                               "norm_K": norm_K, "D_g": Dg})
 
 
 def certificate_strong_fast(c, F0_minus_Fstar, x0, y0, x_star, y_star, M_g,
-                            rho0, gamma, mu_f, norm_K,
-                            reference_source="numerical") -> Certificate:
+                            rho0, gamma, mu_f, norm_K) -> Certificate:
     """Primal residual certificate for the strongly convex method, Case 2.
 
     R0^2 = (c-1)[F(x0)-F*] + ((c-1)/2)[(c-1) rho0||K||^2/Gamma + c mu_f]
@@ -404,13 +378,12 @@ def certificate_strong_fast(c, F0_minus_Fstar, x0, y0, x_star, y_star, M_g,
     R1sq = R0sq + math.sqrt(2.0 * c ** 2 / rho0) * (float(np.linalg.norm(y_star)) + M_g) * R0
     return Certificate("strong_fast", R1sq, 2,
                        lambda k: 1.0 / (k + c - 1.0) ** 2, "1/(k+c-1)^2",
-                       reference_source,
-                       {"c": c, "rho0": rho0, "gamma": gamma, "mu_f": mu_f,
-                        "norm_K": norm_K, "R0_sq": R0sq})
+                       inputs={"c": c, "rho0": rho0, "gamma": gamma,
+                               "mu_f": mu_f, "norm_K": norm_K, "R0_sq": R0sq})
 
 
 def certificate_constrained(x0, y0, x_star, y_star, rho0, gamma, norm_K,
-                            L_psi, reference_source="numerical") -> Certificate:
+                            L_psi) -> Certificate:
     """Certificate for the equality-constrained specialization with c = 1:
     both |F(x_k) - F*| and ||K x_k - b|| are bounded by R0^2/(2k) with
     R0^2 = (rho0||K||^2 + gamma L_psi)/gamma ||x0-x*||^2
@@ -420,14 +393,12 @@ def certificate_constrained(x0, y0, x_star, y_star, rho0, gamma, norm_K,
     R0sq = ((rho0 * norm_K ** 2 + gamma * L_psi) / gamma * dx2
             + lam ** 2 / ((1.0 - gamma) * rho0))
     return Certificate("constrained", R0sq, 1, _shape_half_k, "1/(2k)",
-                       reference_source,
-                       {"rho0": rho0, "gamma": gamma, "norm_K": norm_K,
-                        "L_psi": L_psi})
+                       inputs={"rho0": rho0, "gamma": gamma, "norm_K": norm_K,
+                               "L_psi": L_psi})
 
 
 def certificate_semistrong(x0, w0, y0, x_star, w_star, y_star, rho0, gamma,
-                           norm_K, nu0,
-                           reference_source="numerical") -> Certificate:
+                           norm_K, nu0) -> Certificate:
     """Certificate for the semi-strongly convex constrained scheme (Case 1):
     both |F - F*| and ||Kx + Bw - b|| are bounded by 2 R0^2/(k+1)^2 with
     R0^2 = rho0||K||^2||x0-x*||^2/Gamma + nu0||w0-w*||^2
@@ -440,9 +411,8 @@ def certificate_semistrong(x0, w0, y0, x_star, w_star, y_star, rho0, gamma,
             + lam ** 2 / ((1.0 - gamma) * rho0))
     return Certificate("semistrong", R0sq, 2,
                        lambda k: 2.0 / (k + 1.0) ** 2, "2/(k+1)^2",
-                       reference_source,
-                       {"rho0": rho0, "gamma": gamma, "Gamma": Gamma,
-                        "norm_K": norm_K, "nu0": nu0})
+                       inputs={"rho0": rho0, "gamma": gamma, "Gamma": Gamma,
+                               "norm_K": norm_K, "nu0": nu0})
 
 
 # -- empirical rate slope ---------------------------------------------------------
@@ -477,214 +447,218 @@ def trace_slope(trace: Trace, metric: str, k_lo, k_hi,
 
 @dataclass
 class ReferenceSolution:
+    """The oracle's optimum, and what its arms found and took."""
+
     x: np.ndarray
     y: np.ndarray
     F: float
     residual: float
-    residual_kind: str
     agreement: float
     budget: int
     method_values: dict
-    stage: str = "cold"
+    exact_arm: str = ""
+    exact_s: float = 0.0
+    corroboration_steps: int = 0
+    corroboration_s: float = 0.0
+    stage: str = "exact+corroborated"
     source: str = "numerical"
 
     def to_dict(self):
-        return {"F": self.F, "residual": self.residual,
-                "residual_kind": self.residual_kind,
-                "agreement": self.agreement, "budget": self.budget,
-                "method_values": self.method_values, "stage": self.stage,
-                "source": self.source}
+        return {f.name: getattr(self, f.name) for f in fields(self)[2:]}
 
 
-def _fixed_point_residual(problem: CompositeProblem, x, y) -> float:
-    """Prox-gradient residual of the saddle system at unit-scaled steps."""
-    s = 1.0 / problem.K.norm
-    rx = x - problem.f.prox(x - s * problem.K.adjoint_apply(y), s)
-    ry = y - conjugate_prox(problem.g, y + s * problem.K.apply(x), s)
-    return float(np.linalg.norm(rx) + np.linalg.norm(ry))
+def _highs(c, **constraints):
+    from scipy.optimize import linprog
+
+    res = linprog(c, method="highs", **constraints, options={
+        "primal_feasibility_tolerance": 1e-10,
+        "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise OracleFailureError(f"HiGHS failed: {res.message}")
+    return res
 
 
-def _best_dual_gap(problem, x_best, F_best, candidates):
-    """Smallest finite duality gap over the candidate dual points."""
-    best = float("inf")
-    best_y = None
-    for y in candidates:
-        if y is None:
-            continue
-        try:
-            G = dual_value(problem, y)
-        except UnsupportedMetricError:
-            return None, None
-        if np.isfinite(G):
-            gap = F_best + G
-            if gap < best:
-                best, best_y = gap, y
-    if best_y is None:
-        return None, None
-    return best, best_y
+def _lad_lp(K, f, g, gap):
+    """l1 f with l1_shifted g: min lam ||x||_1 + ||Kx - b||_1 as an LP in
+    [u v s t] >= 0 with x = u - v and Kx - b = s - t.  The equality
+    marginals m satisfy F* = b^T m, so y* = -m has G(y*) = -F*."""
+    import scipy.sparse as sp
+
+    n, p = K.shape
+    S, I = sp.csr_matrix(K), sp.identity(n, format="csr")
+    res = _highs(np.r_[np.full(2 * p, f.params["lam"]), np.ones(2 * n)],
+                 A_eq=sp.hstack([S, -S, -I, I], format="csr"),
+                 b_eq=g.params["b"], bounds=(0, None))
+    return res.x[:p] - res.x[p:2 * p], -res.eqlin.marginals
 
 
-@dataclass
-class _ArmResult:
-    name: str
-    best_F: float
-    best_x: np.ndarray
-    best_y: Optional[np.ndarray]
-    final_duals: list
+def _game_lp(K, f, g, gap):
+    """The simplex pair: min v subject to Kx <= v 1 and x on the simplex;
+    y* is minus the inequality marginals, renormalised onto the simplex."""
+    n, p = K.shape
+    res = _highs(np.r_[np.zeros(p), 1.0], A_ub=np.hstack([K, -np.ones((n, 1))]),
+                 b_ub=np.zeros(n), A_eq=np.r_[np.ones(p), 0.0][None],
+                 b_eq=[1.0], bounds=[(0, None)] * p + [(None, None)])
+    y = np.maximum(-res.ineqlin.marginals, 0.0)
+    return res.x[:p], y / y.sum()
 
 
-def _run_arm(problem, kind, budget, x_start, y_start, obj, merit, dual_val):
-    """Run one oracle arm, tracking the best-merit iterate and the best
-    finite dual value seen along the run."""
-    from . import baselines, pd_general, pd_strong
+def _elastic_dual(K, b, lam, mu, y, bounds):
+    """L-BFGS-B from y on the elastic-net dual min f*(-K^T y) + b^T y within
+    ``bounds``; returns x = grad f*(-K^T y) and y."""
+    from scipy.optimize import minimize
 
+    def fun(y):
+        s = -(K.T @ y)
+        t = np.maximum(np.abs(s) - lam, 0.0)
+        return t @ t / (2.0 * mu) + b @ y, b - K @ (np.sign(s) * t / mu)
+
+    y = minimize(fun, y, jac=True, method="L-BFGS-B", bounds=bounds, options=dict(
+        ftol=0.0, gtol=0.0, maxiter=5000, maxcor=20, maxls=50)).x
+    s = -(K.T @ y)
+    return np.sign(s) * np.maximum(np.abs(s) - lam, 0.0) / mu, y
+
+
+def _elastic_box_dual(K, f, g, gap):
+    """Elastic-net f with l1_shifted g: L-BFGS-B on the dual over the unit
+    box.  It stalls at a gap of 1e-8..1e-5 (most rows fit exactly), so each
+    of up to four passes ends with KKT polishes (:func:`_kkt_polish`)."""
+    lam, mu, b = f.params["lam"], f.params["mu"], g.params["b"]
+    y, best = np.zeros(b.size), (np.inf, None)
+    for _ in range(4):
+        x, y = _elastic_dual(K, b, lam, mu, y, [(-1.0, 1.0)] * b.size)
+        for pair in [(x, y)] + [_kkt_polish(K, b, lam, mu, x, tau)
+                                for tau in (1e-4, 1e-6, 1e-8)]:
+            if pair is not None and gap(*pair) < best[0]:
+                best = gap(*pair), pair
+        if best[0] <= 1e-11:
+            break
+    return best[1]
+
+
+def _kkt_polish(K, b, lam, mu, x, tau):
+    """The exact KKT point on the support and sign pattern of x, or None.
+
+    With A the support of x (signs sA), Z the rows whose residual is within
+    ``tau`` of zero and N the rest (signs sN), optimality is linear in
+    (x_A, y_Z): K_ZA x_A = b_Z, mu x_A + lam sA + K_A^T y = 0 with y_N = sN,
+    |y_Z| <= 1, |K_j^T y| <= lam off the support, and the signs kept."""
+    A, r = x != 0, K @ x - b
+    Z, sA = np.abs(r) <= tau, np.sign(x[A])
+    N, nA, nZ, nO = ~Z, int(A.sum()), int(Z.sum()), int((~A).sum())
+    sN = np.sign(r[N])
+    KZA, KNA, KZO = K[np.ix_(Z, A)], K[np.ix_(N, A)], K[np.ix_(Z, ~A)]
+    cO, zO = K[np.ix_(N, ~A)].T @ sN, np.zeros((nO, nA))
+    try:
+        res = _highs(np.zeros(nA + nZ), A_ub=np.block([
+            [zO, KZO.T], [zO, -KZO.T], [-np.diag(sA), np.zeros((nA, nZ))],
+            [-sN[:, None] * KNA, np.zeros((N.sum(), nZ))]]),
+            b_ub=np.r_[lam - cO, lam + cO, np.zeros(nA), -sN * b[N]],
+            A_eq=np.block([[KZA, np.zeros((nZ, nZ))], [mu * np.eye(nA), KZA.T]]),
+            b_eq=np.r_[b[Z], -lam * sA - KNA.T @ sN],
+            bounds=[(None, None)] * nA + [(-1.0, 1.0)] * nZ)
+    except OracleFailureError:
+        return None
+    xp, yp = np.zeros(x.size), np.empty(b.size)
+    xp[A], yp[N], yp[Z] = res.x[:nA], sN, res.x[nA:]
+    return xp, yp
+
+
+def _elastic_eq_dual(K, f, g, gap):
+    """Elastic-net f with point_indicator g (Kx = b): the unconstrained
+    dual, then the KKT system on the support A of x (signs s),
+    mu x_A + lam s + K_A^T y = 0 and K_A x_A = b, by one linear solve."""
+    lam, mu, b = f.params["lam"], f.params["mu"], g.params["b"]
+    x, y = _elastic_dual(K, b, lam, mu, np.zeros(b.size), None)
+    A = x != 0
+    KA, s = K[:, A], np.sign(x[A])
+    y = np.linalg.lstsq(KA @ KA.T, -mu * b - lam * (KA @ s), rcond=None)[0]
+    x[A] = -(lam * s + KA.T @ y) / mu
+    return x, y
+
+
+# (f.kind, g.kind) -> arm(K as an ndarray, f, g, gap = |F + G|) -> (x, y)
+_EXACT_ARMS = {("l1", "l1_shifted"): _lad_lp,
+               ("simplex_indicator", "simplex_support"): _game_lp,
+               ("elastic", "l1_shifted"): _elastic_box_dual,
+               ("elastic", "point_indicator"): _elastic_eq_dual}
+
+
+def _run_arm(problem, budget, x_start, y_start, merit):
+    """The corroboration arm: ``budget`` steps of the non-stationary method
+    with c = 2 (Case 2 with c = 4 when f.mu > 0) from (x_start, y_start).
+    Returns its name, its iterate of least ``merit`` over records every
+    ``budget // 20000`` steps, and the steps taken."""
     norm_K = problem.K.norm
-    strongly_convex = problem.f.mu > 0
-    if kind == "nonstationary":
-        if strongly_convex:
-            sched = pd_strong.StrongSchedule(2, 0.75, problem.f.mu, norm_K,
-                                             c=4.0)
-            state = pd_strong.init_state(problem, x_start, y_start)
-            advance = lambda: pd_strong.step(state, problem, sched)
-            name = "pd_strong_case2"
-        else:
-            sched = pd_general.GeneralSchedule(c=2.0, gamma=0.999,
-                                               rho0=1.0 / norm_K,
-                                               norm_K=norm_K)
-            state = pd_general.init_state(problem, x_start, y_start)
-            advance = lambda: pd_general.step(state, problem, sched)
-            name = "pd_general_c2"
-        dual_points = lambda: (state.y_bar, state.y)
+    if problem.f.mu > 0:
+        method, name = pd_strong, "pd_strong_case2"
+        sched = pd_strong.StrongSchedule(2, 0.75, problem.f.mu, norm_K, c=4.0)
     else:
-        cfg = baselines.BaselineConfig(rho=1.0 / norm_K, mu_f=problem.f.mu)
-        state = baselines.init_cp_state(problem, x_start, y_start, cfg.rho,
-                                        cfg.resolved_beta(norm_K))
-        if strongly_convex:
-            advance = lambda: baselines.cp_scvx_step(state, problem, cfg.mu_f)
-            name = "cp_scvx"
-        else:
-            advance = lambda: baselines.cp_step(state, problem)
-            name = "cp"
-        dual_points = lambda: (state.y_erg, state.y)
+        method, name = pd_general, "pd_general_c2"
+        sched = pd_general.GeneralSchedule(c=2.0, gamma=0.999,
+                                           rho0=1.0 / norm_K, norm_K=norm_K)
+    best = [np.inf, np.array(x_start, dtype=float)]
 
-    check = max(budget // 20_000, 1)
-    best_m, best_x = np.inf, np.asarray(x_start, dtype=float).copy()
-    best_G, best_y = np.inf, None
-    for i in range(budget):
-        advance()
-        if i % check == 0 or i == budget - 1:
-            x = state.x
-            mx = merit(x)
-            if mx < best_m:
-                best_m, best_x = mx, x.copy()
-            for y in dual_points():
-                Gy = dual_val(y)
-                if Gy is not None and Gy < best_G:
-                    best_G, best_y = Gy, y.copy()
-    return _ArmResult(name, float(obj(best_x)), best_x, best_y,
-                      [y.copy() for y in dual_points()])
+    def record(k, x, y, t, **_):
+        if merit(x) < best[0]:
+            best[:] = merit(x), x.copy()
+
+    state = run(lambda s: method.step(s, problem, sched),
+                method.init_state(problem, x_start, y_start), budget,
+                max(budget // 20_000, 1), record, lambda s: (s.x, s.y_bar, {}))
+    return name, best[1], state.k
 
 
 def reference_solution(problem: CompositeProblem, budget: int,
-                       x0=None, y0=None, objective=None, merit=None,
-                       extra_residual=None, agree_tol: float = 1e-8,
+                       objective=None, merit=None, extra_residual=None,
+                       agree_tol: float = 1e-8,
                        residual_tol: float = 1e-8) -> ReferenceSolution:
-    """High-accuracy optimum cross-checked by two structurally different
-    solvers.
+    """An optimum solved exactly and corroborated iteratively.
 
-    The non-stationary method (c = 2) and the fixed-step baseline run for
-    ``budget`` iterations each (the strongly convex method Case 2 and the
-    accelerated baseline when f is strongly convex), each contributing its
-    best objective value.  If their best values already agree to
-    ``agree_tol`` relative, that settles the agreement gate; otherwise the
-    weaker solver is re-run warm-started at the stronger one's best iterate,
-    and must fail to improve it by more than ``agree_tol`` relative (a
-    descent falsification of the candidate optimum).  Independently, the
-    optimality residual (smallest finite duality gap over all dual
-    candidates, else the prox-gradient fixed-point norm) must be below
-    ``residual_tol``.  Either gate failing raises
-    :class:`OracleFailureError` carrying both objective values.
-
-    ``objective`` overrides the compared value (needed for constrained
-    problems whose composite primal value is an indicator); ``merit``, when
-    given, is used instead of the objective to select each arm's best
-    iterate (e.g. objective plus a feasibility penalty, so that a
-    near-feasible point wins over an infeasible one with a smaller raw
-    objective); ``extra_residual`` adds a term, e.g. a feasibility norm, to
-    the optimality residual.
+    The exact arm for the kinds of f and g (``_EXACT_ARMS``) returns a pair
+    whose duality gap F(x) + G(y), G from :func:`dual_value`, must be at
+    most ``residual_tol``; :func:`_run_arm` then runs ``budget`` steps from
+    it and must not find an F below F(x) by more than ``agree_tol``
+    relative.  A failed gate, or an (f, g) pair with no exact arm, raises
+    :class:`OracleFailureError`.  ``objective`` overrides F (for constrained
+    problems whose composite primal value is an indicator), ``merit``
+    replaces it in picking the arm's best iterate (say with a feasibility
+    penalty, so that an infeasible point with a smaller objective loses),
+    and ``extra_residual`` (say a feasibility norm) also bounds the
+    residual.
     """
     if budget < 10 ** 5:
         raise ValueError("reference budget must be at least 1e5 iterations")
-    p, n = problem.p, problem.n
-    x0 = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float)
-    y0 = np.zeros(n) if y0 is None else np.asarray(y0, dtype=float)
+    f, g = problem.f, problem.g
+    arm = _EXACT_ARMS.get((f.kind, g.kind))
+    if arm is None:
+        raise OracleFailureError(f"no exact oracle arm for f of kind "
+                                 f"{f.kind!r} with g of kind {g.kind!r}")
+    exact = arm.__name__.lstrip("_")
     obj = objective if objective is not None else problem.primal_value
-    sel = merit if merit is not None else obj
-    have_conj = (problem.f.conjugate_value is not None
-                 and problem.g.conjugate_value is not None)
 
-    def dual_val(y):
-        if not have_conj or y is None:
-            return None
-        G = dual_value(problem, y)
-        return float(G) if np.isfinite(G) else None
+    def gap(x, y):
+        return abs(obj(x) + dual_value(problem, y))
 
-    arm_a = _run_arm(problem, "nonstationary", budget, x0, y0, obj, sel,
-                     dual_val)
-    arm_b = _run_arm(problem, "fixed", budget, x0, y0, obj, sel, dual_val)
-    champ, other = ((arm_a, arm_b) if arm_a.best_F <= arm_b.best_F
-                    else (arm_b, arm_a))
-    method_values = {arm_a.name: arm_a.best_F, arm_b.name: arm_b.best_F}
-
-    agreement = abs(arm_a.best_F - arm_b.best_F) / max(1.0, abs(champ.best_F))
-    stage = "cold"
-    arms = [arm_a, arm_b]
-    if not np.isfinite(agreement) or agreement > agree_tol:
-        # corroboration pass: the weaker solver restarts at the champion's
-        # best iterate and must not find a meaningfully lower objective
-        y_start = champ.best_y if champ.best_y is not None else champ.final_duals[-1]
-        other_kind = ("fixed" if other.name.startswith("cp")
-                      else "nonstationary")
-        corr = _run_arm(problem, other_kind, budget, champ.best_x, y_start,
-                        obj, sel, dual_val)
-        arms.append(corr)
-        method_values[other.name + "_warm"] = corr.best_F
-        agreement = abs(corr.best_F - champ.best_F) / max(1.0, abs(champ.best_F))
-        stage = "corroborated"
-        if not np.isfinite(agreement) or agreement > agree_tol:
-            raise OracleFailureError(
-                f"reference solvers disagree after corroboration: "
-                f"{champ.name}={champ.best_F!r}, "
-                f"{other.name}(warm)={corr.best_F!r} "
-                f"(relative difference {agreement:.3e})", method_values)
-        if corr.best_F < champ.best_F:
-            champ = _ArmResult(champ.name, corr.best_F, corr.best_x,
-                               champ.best_y, champ.final_duals)
-
-    duals = [y for a in arms for y in ([a.best_y] if a.best_y is not None
-                                       else []) + a.final_duals]
-    gap, y_best = _best_dual_gap(problem, champ.best_x, champ.best_F, duals)
-    if gap is not None:
-        residual, kind = abs(gap), "duality_gap"
-    else:
-        y_best = duals[0]
-        residual = min(_fixed_point_residual(problem, champ.best_x, y)
-                       for y in duals)
-        kind = "prox_gradient_residual"
-    if extra_residual is not None:
-        residual = max(residual, float(extra_residual(champ.best_x)))
-    if residual > residual_tol:
-        raise OracleFailureError(
-            f"reference optimality residual {residual:.3e} ({kind}) exceeds "
-            f"{residual_tol:.1e}; best values {method_values}",
-            method_values | {"residual": residual})
-
-    return ReferenceSolution(x=champ.best_x, y=y_best, F=float(champ.best_F),
-                             residual=float(residual), residual_kind=kind,
-                             agreement=float(agreement), budget=budget,
-                             method_values={k: float(v) for k, v in
-                                            method_values.items()},
-                             stage=stage)
+    t0 = time.perf_counter()
+    x, y = arm(problem.K.to_dense(), f, g, gap)
+    t1 = time.perf_counter()
+    F = float(obj(x))
+    residual = max(gap(x, y), extra_residual(x) if extra_residual else 0.0)
+    values = {exact: F}
+    if not residual <= residual_tol:
+        raise OracleFailureError(f"the {exact} pair has a residual of "
+                                 f"{residual:.3e}, above {residual_tol:.1e}",
+                                 values | {"residual": residual})
+    name, x_arm, steps = _run_arm(problem, budget, x, y, merit or obj)
+    values[name] = F_arm = float(obj(x_arm))
+    drop = (F - F_arm) / max(1.0, abs(F))
+    if drop > agree_tol:
+        raise OracleFailureError(f"{name} from the {exact} pair finds F = "
+                                 f"{F_arm!r}, {drop:.3e} below {F!r}", values)
+    return ReferenceSolution(x, y, F, float(residual), abs(drop), budget,
+                             values, exact, t1 - t0, steps,
+                             time.perf_counter() - t1)
 
 
 def certificates_to_json(certs, path):

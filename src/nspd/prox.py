@@ -14,8 +14,9 @@ that ADMM's x-step and the semi-strong w-step share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -51,6 +52,9 @@ class ProxFunction:
     ``conj_prox(v, rho)``, when set, returns ``prox_{rho h*}(v)`` in closed
     form for :func:`conjugate_prox`; it must agree with ``prox`` through the
     Moreau decomposition, so a replaced ``prox`` must compute the same map.
+    Each constructor sets ``kind`` and the read-only ``params``; ``name``
+    (the kind, then any scalar parameters) and ``shift`` (``params["b"]``,
+    the anchor of a shifted function) are read from them.
     """
 
     dim: int
@@ -62,8 +66,24 @@ class ProxFunction:
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     conjugate_value: Optional[Callable[[np.ndarray], float]] = None
     conj_prox: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    shift: Optional[np.ndarray] = None  # anchor vector of shifted functions
-    name: str = ""
+    kind: str = ""
+    params: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    @property
+    def scalar_params(self) -> dict:
+        return {k: v for k, v in self.params.items() if np.isscalar(v)}
+
+    @property
+    def name(self) -> str:
+        scalars = ",".join(f"{k}={v}" for k, v in self.scalar_params.items())
+        return f"{self.kind}({scalars})" if scalars else self.kind
+
+    @property
+    def shift(self) -> Optional[np.ndarray]:
+        return self.params.get("b")
 
 
 def conjugate_prox(h: ProxFunction, v: np.ndarray, rho: float) -> np.ndarray:
@@ -139,7 +159,7 @@ def l1_norm(dim: int, lam: float) -> ProxFunction:
         return np.minimum(np.maximum(v, -lam), lam)  # projection on the ball
 
     return ProxFunction(dim, value, prox, conjugate_value=conj,
-                        conj_prox=conj_prox, name=f"l1(lam={lam})")
+                        conj_prox=conj_prox, kind="l1", params={"lam": lam})
 
 
 def l1_shifted(b: np.ndarray) -> ProxFunction:
@@ -162,8 +182,8 @@ def l1_shifted(b: np.ndarray) -> ProxFunction:
         return np.minimum(np.maximum(v - rho * b, -1.0), 1.0)
 
     return ProxFunction(n, value, prox, lipschitz=float(np.sqrt(n)),
-                        conjugate_value=conj, conj_prox=conj_prox, shift=b,
-                        name="l1_shifted")
+                        conjugate_value=conj, conj_prox=conj_prox,
+                        kind="l1_shifted", params={"b": b})
 
 
 def elastic_net(dim: int, lam: float, mu: float) -> ProxFunction:
@@ -182,7 +202,7 @@ def elastic_net(dim: int, lam: float, mu: float) -> ProxFunction:
         return float(t @ t) / (2.0 * mu)
 
     return ProxFunction(dim, value, prox, mu=mu, conjugate_value=conj,
-                        name=f"elastic(lam={lam},mu={mu})")
+                        kind="elastic", params={"lam": lam, "mu": mu})
 
 
 def point_indicator(b: np.ndarray) -> ProxFunction:
@@ -202,8 +222,8 @@ def point_indicator(b: np.ndarray) -> ProxFunction:
         return v - rho * b
 
     return ProxFunction(b.size, value, prox, lipschitz=0.0,
-                        conjugate_value=conj, conj_prox=conj_prox, shift=b,
-                        name="point_indicator")
+                        conjugate_value=conj, conj_prox=conj_prox,
+                        kind="point_indicator", params={"b": b})
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -235,7 +255,7 @@ def simplex_indicator(dim: int) -> ProxFunction:
         return float(np.max(s))
 
     return ProxFunction(dim, value, prox, conjugate_value=conj,
-                        name="simplex_indicator")
+                        kind="simplex_indicator")
 
 
 def simplex_support(dim: int) -> ProxFunction:
@@ -260,7 +280,7 @@ def simplex_support(dim: int) -> ProxFunction:
 
     return ProxFunction(dim, value, prox, lipschitz=1.0,
                         conjugate_value=conj, conj_prox=conj_prox,
-                        name="simplex_support")
+                        kind="simplex_support")
 
 
 def squared_l2(dim: int, weight: float = 1.0) -> ProxFunction:
@@ -282,7 +302,7 @@ def squared_l2(dim: int, weight: float = 1.0) -> ProxFunction:
 
     return ProxFunction(dim, value, prox, mu=weight, smooth_lipschitz=weight,
                         gradient=gradient, conjugate_value=conj,
-                        name=f"squared_l2(w={weight})")
+                        kind="squared_l2", params={"w": weight})
 
 
 def quadratic(Q: np.ndarray, q: np.ndarray | None = None) -> ProxFunction:
@@ -307,7 +327,8 @@ def quadratic(Q: np.ndarray, q: np.ndarray | None = None) -> ProxFunction:
         return Q @ np.asarray(x, dtype=float) + q
 
     return ProxFunction(dim, value, prox, mu=mu, smooth_lipschitz=L,
-                        gradient=gradient, name="quadratic")
+                        gradient=gradient, kind="quadratic",
+                        params={"Q": Q, "q": q})
 
 
 def zero(dim: int) -> ProxFunction:
@@ -326,4 +347,4 @@ def zero(dim: int) -> ProxFunction:
         return 0.0 if np.max(np.abs(s)) <= FEAS_TOL else np.inf
 
     return ProxFunction(dim, value, prox, lipschitz=0.0, smooth_lipschitz=0.0,
-                        gradient=gradient, conjugate_value=conj, name="zero")
+                        gradient=gradient, conjugate_value=conj, kind="zero")

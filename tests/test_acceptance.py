@@ -13,7 +13,7 @@ from nspd import baselines, bench, metrics, pd_general, pd_strong, prox
 from nspd.linop import LinearMap
 from nspd.problems import (CompositeProblem, EqConstrainedProblem,
                            SemiStrongProblem, neg_identity)
-from oracle_lp import lad_optimum_by_vertex_enumeration
+from oracle_lp import game_gap, lad_optimum_by_vertex_enumeration
 
 REF_BUDGET = 150_000
 MAX_ITERS = 10_000
@@ -427,10 +427,8 @@ def test_criterion_10_oracle_sanity():
 
     game = bench.gen_game(bench.GameConfig(n=30, p=40, seed=11))
     composite = game.to_composite()
-    gref = metrics.reference_solution(composite, 150_000,
-                                      x0=np.full(40, 1 / 40.0),
-                                      y0=np.full(30, 1 / 30.0))
-    gap = metrics.game_gap(game, gref.x, gref.y)
+    gref = metrics.reference_solution(composite, 150_000)
+    gap = game_gap(game, gref.x, gref.y)
     game_ok = -1e-9 <= gap <= 1e-8
     _report("criterion 10 (oracle sanity: vertex enumeration and game gap)",
             lad_ok and game_ok,

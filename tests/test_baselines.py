@@ -10,6 +10,7 @@ from nspd.baselines import (BaselineConfig, admm_step, cp_scvx_step, cp_step,
 from nspd.errors import ConfigurationError, InnerSolverError
 from nspd.linop import LinearMap
 from nspd.problems import CompositeProblem, MatrixGame
+from oracle_lp import game_gap
 
 
 def lad_instance(rng, n=30, p=12, lam=0.1, mu=0.0):
@@ -198,7 +199,7 @@ def test_smoothing_gradient_matches_finite_differences(rng):
 def test_smoothing_reduces_game_gap(rng):
     game = small_game(rng)
     x, y, k_max, mu = smoothing_solve(game, epsilon=1e-2)
-    gap = metrics.game_gap(game, x, y)
+    gap = game_gap(game, x, y)
     assert gap >= -1e-9
     assert gap <= 1e-2  # the accuracy the iteration count was sized for
 

@@ -156,6 +156,8 @@ def test_game_experiment_writes_artifacts(tmp_path):
         written = json.load(fh)["variants"]
     assert len(written) == 5
     assert all(v["wall_s"] > 0 for v in written)
+    assert report["terms"] == {"f": {"kind": "simplex_indicator", "params": {}},
+                               "g": {"kind": "simplex_support", "params": {}}}
 
 
 def test_unknown_experiment_rejected(tmp_path):
@@ -170,6 +172,13 @@ def test_unknown_experiment_rejected(tmp_path):
 def test_bad_spec_is_rejected_when_built(field, value):
     with pytest.raises(ValueError, match=repr(value)):
         bench.ExperimentSpec(name="game", **{field: value})
+
+
+@pytest.mark.parametrize("max_iters", [0, -5])
+def test_spec_refuses_fewer_than_one_iteration(max_iters):
+    # an empty trace has nothing to check a certificate against
+    with pytest.raises(ValueError, match=f"max_iters.*{max_iters}"):
+        bench.ExperimentSpec(name="game", max_iters=max_iters)
 
 
 # the rows of each LAD experiment in run order (perfbench/workloads.py lists
@@ -193,8 +202,9 @@ def test_lad_experiment_rows(tmp_path, monkeypatch, name):
     monkeypatch.setattr(bench, "DESK_LAD", LadConfig(n=16, p=6, s=2))
     ref_x = np.linspace(-0.5, 0.5, 6)
     ref_y = np.linspace(-0.2, 0.2, 16)
-    ref = metrics.ReferenceSolution(ref_x, ref_y, 0.0, 0.0, "stub", 0.0, 0,
-                                    {})
+    ref = metrics.ReferenceSolution(ref_x, ref_y, F=0.0, residual=0.0,
+                                    agreement=0.0, budget=0,
+                                    method_values={}, exact_arm="stub")
     monkeypatch.setattr(metrics, "reference_solution",
                         lambda problem, budget: ref)
     made = []
@@ -215,3 +225,12 @@ def test_lad_experiment_rows(tmp_path, monkeypatch, name):
         [cert for _, cert in LAD_ROWS[name] if cert]
     for label, _ in LAD_ROWS[name]:
         assert len(metrics.Trace.from_csv(tmp_path / f"trace_{label}.csv")) > 0
+    # report.json names the instance's terms and how the oracle found F*
+    with open(tmp_path / "report.json") as fh:
+        written = json.load(fh)
+    f = made[0].problem.f
+    assert written["terms"] == {
+        "f": {"kind": f.kind, "params": dict(f.params)},
+        "g": {"kind": "l1_shifted", "params": {}}}
+    assert f.kind == ("l1" if name == "lad-case1" else "elastic")
+    assert written["reference"]["exact_arm"] == "stub"

@@ -1,18 +1,25 @@
 """Tests for evaluators, certificates, slope estimation and traces."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import nspd
 from nspd import metrics, prox
-from nspd.errors import CertificateUnavailableError, UnsupportedMetricError
+from nspd.errors import (CertificateUnavailableError, OracleFailureError,
+                         UnsupportedMetricError)
 from nspd.linop import LinearMap
-from nspd.metrics import (Certificate, Trace, bound_general_gap,
+from nspd.metrics import (Certificate, Trace,
                           certificate_constrained, certificate_general_fast,
                           certificate_general_primal, certificate_semistrong,
                           certificate_strong_fast, certificate_strong_primal,
-                          game_gap, lagrangian, rate_slope)
+                          lagrangian, rate_slope)
 from nspd.problems import CompositeProblem, MatrixGame
+from oracle_lp import game_gap
 
 
 def lad_instance(rng, n=10, p=4, lam=0.3):
@@ -133,6 +140,19 @@ def test_game_gap_weak_duality(seed):
 
 # -- bound evaluators --------------------------------------------------------------
 
+def bound_general_gap(x0, y0, x_ref, y_ref, rho0, gamma, norm_K, k) -> float:
+    """Worst-case Lagrangian-gap bound of the general method with c = 1:
+    (1/(2k)) [rho0 ||K||^2 ||x0-x||^2 / gamma + ||y0-y||^2 / ((1-gamma) rho0)].
+
+    No run certifies the Lagrangian gap yet, so the formula lives here."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    dx2 = float(np.sum((np.asarray(x0, float) - np.asarray(x_ref, float)) ** 2))
+    dy2 = float(np.sum((np.asarray(y0, float) - np.asarray(y_ref, float)) ** 2))
+    c = rho0 * norm_K ** 2 * dx2 / gamma + dy2 / ((1.0 - gamma) * rho0)
+    return c / (2.0 * k)
+
+
 def test_bound_gap_zero_radii():
     x0 = np.ones(3)
     y0 = np.ones(2)
@@ -184,6 +204,13 @@ def test_certificate_shapes_and_slack():
     assert ok
     ok2, worst2, k2 = cert.check([1, 2, 4], [9.0, 5.0, 2.6])
     assert not ok2 and k2 == 4
+
+
+def test_certificate_does_not_hold_without_a_checked_record():
+    cert = Certificate("demo", 10.0, 1, lambda k: 1.0 / k, "1/k")
+    assert cert.check([], [])[0] is False
+    assert cert.check([0, 1, 2], [1.0, np.nan, np.inf]) == (False, -np.inf,
+                                                            None)
 
 
 def test_certificate_requires_lipschitz_constant():
@@ -289,3 +316,71 @@ def test_reference_solution_tiny_budget_guard(rng):
     problem = lad_instance(rng)
     with pytest.raises(ValueError):
         metrics.reference_solution(problem, 10)
+
+
+def _tiny(kind, rng):
+    """A small instance for each exact arm, and the feasibility residual
+    that must vanish (None unless g is a point indicator)."""
+    if kind == "lad":
+        return lad_instance(rng), None
+    if kind == "game":
+        return MatrixGame(LinearMap.from_dense(
+            rng.uniform(-1, 1, (5, 7)))).to_composite(), None
+    if kind == "elastic_box":
+        return CompositeProblem(prox.elastic_net(4, 0.3, 0.5),
+                                prox.l1_shifted(rng.standard_normal(10)),
+                                LinearMap.from_dense(
+                                    rng.standard_normal((10, 4)))), None
+    K = LinearMap.from_dense(rng.standard_normal((4, 8)))
+    b = K.apply(rng.standard_normal(8))
+    return (CompositeProblem(prox.elastic_net(8, 0.1, 1.0),
+                             prox.point_indicator(b), K),
+            lambda x: float(np.linalg.norm(K.apply(x) - b)))
+
+
+@pytest.mark.parametrize("kind", ["lad", "game", "elastic_box", "elastic_eq"])
+def test_exact_arm_certifies_its_pair(kind, rng):
+    problem, feas = _tiny(kind, rng)
+    f, g = problem.f, problem.g
+    arm = metrics._EXACT_ARMS[f.kind, g.kind]
+    F = f.value if feas else problem.primal_value  # f alone where Kx = b
+
+    def gap(x, y):
+        return abs(F(x) + metrics.dual_value(problem, y))
+
+    x, y = arm(problem.K.to_dense(), f, g, gap)
+    assert gap(x, y) <= 1e-8
+    assert feas is None or feas(x) <= 1e-8
+
+
+def test_reference_solution_is_exact_then_corroborated(rng):
+    problem = lad_instance(rng)
+    ref = metrics.reference_solution(problem, 100_000)
+    assert (ref.stage, ref.source, ref.exact_arm) == (
+        "exact+corroborated", "numerical", "lad_lp")
+    assert ref.residual <= 1e-8 and ref.corroboration_steps == 100_000
+    assert ref.method_values["lad_lp"] == ref.F
+    assert ref.method_values["pd_general_c2"] >= ref.F - 1e-8
+    report = ref.to_dict()
+    assert report["exact_s"] > 0 and report["corroboration_s"] > 0
+    assert "x" not in report and "y" not in report
+
+
+def test_reference_solution_refuses_a_pair_without_an_exact_arm(rng):
+    problem = CompositeProblem(prox.squared_l2(4), prox.l1_shifted(
+        rng.standard_normal(10)), LinearMap.from_dense(
+        rng.standard_normal((10, 4))))
+    with pytest.raises(OracleFailureError,
+                       match="'squared_l2'.*'l1_shifted'"):
+        metrics.reference_solution(problem, 100_000)
+
+
+def test_import_nspd_leaves_scipy_optimize_and_sparse_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nspd.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, nspd; print([m for m in "
+         "('scipy.optimize', 'scipy.sparse') if m in sys.modules])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

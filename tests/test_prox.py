@@ -61,6 +61,30 @@ def test_closed_forms_present_where_promised():
                                 "simplex_support"}
 
 
+def test_names_are_derived_from_kind_and_scalar_params():
+    b = np.array([1.0, -2.0])
+    got = [h.name for h in (
+        l1_norm(2, 0.05), l1_shifted(b), elastic_net(2, 0.1, 1.0),
+        point_indicator(b), simplex_indicator(2), simplex_support(2),
+        squared_l2(2), squared_l2(2, 2), quadratic(np.eye(2)), zero(2))]
+    assert got == ["l1(lam=0.05)", "l1_shifted", "elastic(lam=0.1,mu=1.0)",
+                   "point_indicator", "simplex_indicator", "simplex_support",
+                   "squared_l2(w=1.0)", "squared_l2(w=2)", "quadratic", "zero"]
+    assert l1_shifted(b).shift is point_indicator(b).params["b"] is not None
+    assert l1_norm(2, 0.05).shift is None
+
+
+@pytest.mark.parametrize("h", builtin_functions() + [quadratic(np.eye(6))],
+                         ids=lambda h: h.name)
+def test_replacing_the_prox_keeps_kind_params_name_and_shift(h):
+    r = dataclasses.replace(h, prox=lambda v, step: h.prox(v, step))
+    assert (r.kind, r.name, r.shift is h.shift) == (h.kind, h.name, True)
+    assert r.params.keys() == h.params.keys()
+    assert all(r.params[k] is h.params[k] for k in h.params)
+    with pytest.raises(TypeError):
+        r.params["lam"] = 1.0
+
+
 def test_conj_prox_survives_replacing_the_prox():
     calls = []
     h = l1_shifted(np.array([0.5, -1.0, 2.0]))
