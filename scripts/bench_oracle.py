@@ -6,14 +6,18 @@ Times two checkouts: ``--before`` and ``--after`` (default: this
 checkout's ``src``).  Each repeat starts, per checkout, one fresh
 interpreter that imports ``nspd`` from that ``src``, builds the oracle
 instances of ``tests/test_acceptance.py`` (criteria 4/5a/7 lad1,
-criterion 6 lad2, the criterion-5b and criterion-8 composites, and
+criterion 6 lad2, the criterion-5b problem, the criterion-8 composite, and
 criterion 10's 6x3 LAD and 30x40 game, all with the suite's seeds and
 budgets) and times ``metrics.reference_solution`` on each, called as the
-suite calls it (with the uniform start points on the game when that
-checkout's oracle still takes ``x0``/``y0``).  When the checkout has exact
-arms (``metrics._EXACT_ARMS``), the child also times the exact arm alone,
-with the oracle's own gap function.  ``scipy.optimize`` and ``scipy.sparse``
-are imported before the clocks start, so no figure carries an import.
+suite calls it: ``(problem, budget)``, the criterion-5b instance as its one
+``EqConstrainedProblem``.  A checkout whose oracle still takes
+``objective``/``merit``/``extra_residual`` gets the point-indicator composite
+with the lambdas the suite passed it, and one that still takes ``x0``/``y0``
+the uniform start points on the game.  When the checkout has exact arms
+(``metrics._EXACT_ARMS``), the child also times the exact arm alone on the
+point-indicator composite, with the oracle's own gap function.
+``scipy.optimize`` and ``scipy.sparse`` are imported before the clocks
+start, so no figure carries an import.
 
 Repeats alternate which checkout goes first; each figure is the median over
 ``--repeats`` repeats.  One BLAS thread.  Results go to ``--out`` with the
@@ -39,7 +43,9 @@ import numpy as np
 import scipy.optimize, scipy.sparse
 from nspd import bench, metrics, prox
 from nspd.linop import LinearMap
-from nspd.problems import CompositeProblem
+from nspd.problems import CompositeProblem, EqConstrainedProblem
+
+PARAMS = inspect.signature(metrics.reference_solution).parameters
 
 def lad(seed, **case):
     return bench.gen_lad(bench.LadConfig(seed=seed, **case))[0]
@@ -48,13 +54,8 @@ def constrained():
     rng = np.random.default_rng(500)
     K = LinearMap.from_dense(rng.standard_normal((40, 80)))
     b = K.apply(rng.standard_normal(80))
-    composite = CompositeProblem(prox.elastic_net(80, 0.1, 1.0),
-                                 prox.point_indicator(b), K)
-    feas = lambda x: float(np.linalg.norm(K.apply(x) - b))
-    obj = composite.f.value
-    return composite, 150_000, dict(
-        objective=obj, merit=lambda x: obj(x) + 100.0 * feas(x),
-        extra_residual=feas)
+    return EqConstrainedProblem(prox.l1_norm(80, 0.1), prox.squared_l2(80, 1.0),
+                                K, b), 150_000, {}
 
 def semistrong():
     rng = np.random.default_rng(800)
@@ -66,7 +67,7 @@ def semistrong():
 def game():
     composite = bench.gen_game(bench.GameConfig(n=30, p=40, seed=11)).to_composite()
     kw = {}
-    if "x0" in inspect.signature(metrics.reference_solution).parameters:
+    if "x0" in PARAMS:
         kw = dict(x0=np.full(40, 1 / 40.0), y0=np.full(30, 1 / 30.0))
     return composite, 150_000, kw
 
@@ -81,17 +82,32 @@ INSTANCES = {
     "crit10_game_30x40": game,
 }
 
+def twin(eq):  # lam||x||_1 + (w/2)||x||^2 s.t. Kx = b as a composite
+    return CompositeProblem(prox.elastic_net(eq.K.cols, eq.f.params["lam"],
+                                             eq.psi.params["w"]),
+                            prox.point_indicator(eq.b), eq.K)
+
 out, refs = {}, {}
 for name, make in INSTANCES.items():
     problem, budget, kw = make()
     problem.K.norm
+    if isinstance(problem, EqConstrainedProblem):
+        composite = twin(problem)
+        obj = composite.f.value
+        if "objective" in PARAMS:  # an oracle that takes no constrained problem
+            feas = lambda x: float(np.linalg.norm(
+                composite.K.apply(x) - composite.g.params["b"]))
+            problem, kw = composite, dict(
+                objective=obj, merit=lambda x: obj(x) + 100.0 * feas(x),
+                extra_residual=feas)
+    else:
+        composite, obj = problem, problem.primal_value
     arms = getattr(metrics, "_EXACT_ARMS", None)
     if arms is not None:
-        obj = kw.get("objective") or problem.primal_value
-        gap = lambda x, y: abs(obj(x) + metrics.dual_value(problem, y))
+        gap = lambda x, y: abs(obj(x) + metrics.dual_value(composite, y))
         t0 = time.perf_counter()
-        arms[problem.f.kind, problem.g.kind](problem.K.to_dense(), problem.f,
-                                             problem.g, gap)
+        arms[composite.f.kind, composite.g.kind](
+            composite.K.to_dense(), composite.f, composite.g, gap)
         out[name + "_exact_arm_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     ref = metrics.reference_solution(problem, budget, **kw)

@@ -25,17 +25,20 @@ from .errors import DivergenceError, InnerSolverError
 
 
 def _cmd_run(args) -> int:
-    spec = bench.ExperimentSpec(
-        name=args.experiment,
-        scale="paper" if args.paper else "desk",
-        seed=args.seed,
-        max_iters=args.max_iters,
-        reference_budget=args.reference_budget,
-        trace_every=args.trace_every,
-        out_dir=args.out,
-        check=args.check,
-        epsilon=args.epsilon,
-    )
+    try:
+        spec = bench.ExperimentSpec(
+            name=args.experiment,
+            scale="paper" if args.paper else "desk",
+            seed=args.seed,
+            max_iters=args.max_iters,
+            reference_budget=args.reference_budget,
+            trace_every=args.trace_every,
+            out_dir=args.out,
+            check=args.check,
+            epsilon=args.epsilon,
+        )
+    except ValueError as exc:  # a refused option: a usage error, status 2
+        args.parser.error(str(exc))
     report = bench.run_experiment(spec)
     for v in report["variants"]:
         slope = v["slope"]
@@ -79,13 +82,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_plotdata(args) -> int:
     trace = metrics.Trace.from_csv(args.trace)
-    ks = trace.column("k")
-    print("log10_k," + ",".join(f"log10_{c}" for c in ("F", "G", "gap", "feas")))
-    for i in range(len(trace)):
-        row = [np.log10(ks[i])]
-        for c in ("F", "G", "gap", "feas"):
-            v = trace.column(c)[i]
-            row.append(np.log10(v) if np.isfinite(v) and v > 0 else float("nan"))
+    names = ("F", "G", "gap", "feas")
+    print("log10_k," + ",".join(f"log10_{c}" for c in names))
+    for k, *values in zip(*(trace.column(c) for c in ("k",) + names)):
+        row = [np.log10(k)] + [np.log10(v) if np.isfinite(v) and v > 0
+                               else float("nan") for v in values]
         print(",".join(f"{v:.10g}" for v in row))
     return 0
 
@@ -109,7 +110,7 @@ def main(argv=None) -> int:
                        help="exit 2 when a certificate is violated or a "
                        "certified variant fails to run")
     p_run.add_argument("--epsilon", type=float, default=1e-3)
-    p_run.set_defaults(fn=_cmd_run)
+    p_run.set_defaults(fn=_cmd_run, parser=p_run)
 
     p_solve = sub.add_parser("solve", help="solve an ad-hoc problem from a config")
     p_solve.add_argument("--config", required=True)

@@ -38,7 +38,10 @@ def check_finite(k, **vecs):
     when every entry is, unless finite entries overflow when squared (say
     1e200), so only a non-finite sum runs the per-vector scan.
     """
-    if math.isfinite(sum(v @ v for v in vecs.values())):
+    total = 0.0
+    for v in vecs.values():  # not sum(): its generator costs more than dots
+        total += v.dot(v)
+    if math.isfinite(total):
         return
     for name, v in vecs.items():
         if not np.isfinite(v).all():  # the method: half the cost of np.all

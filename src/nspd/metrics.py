@@ -31,11 +31,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import pd_general, pd_strong
+from . import pd_general, pd_strong, prox
 from .driver import run
 from .errors import (CertificateUnavailableError, OracleFailureError,
                      UnsupportedMetricError)
-from .problems import CompositeProblem, MatrixGame
+from .problems import CompositeProblem, EqConstrainedProblem, MatrixGame
 
 __all__ = [
     "Trace",
@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 CERT_SLACK = 1e-6  # slack factor: 1e-6 * (1 + constant)
+AGREE_TOL = RESIDUAL_TOL = 1e-8  # the oracle's gates; never loosened
+FEAS_PENALTY = 100.0  # an exact penalty on ||Kx - b|| while it exceeds ||y*||_2
 
 
 # -- traces -------------------------------------------------------------------
@@ -178,13 +180,13 @@ def composite_recorder(problem: CompositeProblem, trace: Trace,
         F = f.value(x) + g.value(Kx)
         G = gap = math.nan
         if have_conj and y is not None:
-            gv = g_conj(y)
-            if not math.isfinite(gv):
-                G = math.inf
-            else:
-                if Kty is None:
-                    Kty = K.adjoint_apply(y)
-                G = float(f_conj(-Kty) + gv)
+            if Kty is None:  # G = +inf if g* is: testing it spares K^T y
+                gv = g_conj(y)
+                G = (float(f_conj(-K.adjoint_apply(y)) + gv)
+                     if math.isfinite(gv) else math.inf)
+            else:  # G = +inf if f* is: testing it first spares g*
+                fv = f_conj(-Kty)
+                G = float(fv + g_conj(y)) if math.isfinite(fv) else math.inf
             gap = F + G
         if not math.isfinite(gap) and have_ref:
             try:
@@ -582,6 +584,8 @@ _EXACT_ARMS = {("l1", "l1_shifted"): _lad_lp,
                ("simplex_indicator", "simplex_support"): _game_lp,
                ("elastic", "l1_shifted"): _elastic_box_dual,
                ("elastic", "point_indicator"): _elastic_eq_dual}
+_FOLDS = {("l1", "squared_l2"):  # (f.kind, psi.kind) -> f + psi, one prox
+          lambda f, psi: prox.elastic_net(f.dim, f.params["lam"], psi.params["w"])}
 
 
 def _run_arm(problem, budget, x_start, y_start, merit):
@@ -609,51 +613,59 @@ def _run_arm(problem, budget, x_start, y_start, merit):
     return name, best[1], state.k
 
 
-def reference_solution(problem: CompositeProblem, budget: int,
-                       objective=None, merit=None, extra_residual=None,
-                       agree_tol: float = 1e-8,
-                       residual_tol: float = 1e-8) -> ReferenceSolution:
+def reference_solution(problem: CompositeProblem | EqConstrainedProblem,
+                       budget: int) -> ReferenceSolution:
     """An optimum solved exactly and corroborated iteratively.
 
-    The exact arm for the kinds of f and g (``_EXACT_ARMS``) returns a pair
-    whose duality gap F(x) + G(y), G from :func:`dual_value`, must be at
-    most ``residual_tol``; :func:`_run_arm` then runs ``budget`` steps from
-    it and must not find an F below F(x) by more than ``agree_tol``
-    relative.  A failed gate, or an (f, g) pair with no exact arm, raises
-    :class:`OracleFailureError`.  ``objective`` overrides F (for constrained
-    problems whose composite primal value is an indicator), ``merit``
-    replaces it in picking the arm's best iterate (say with a feasibility
-    penalty, so that an infeasible point with a smaller objective loses),
-    and ``extra_residual`` (say a feasibility norm) also bounds the
-    residual.
+    An :class:`EqConstrainedProblem` becomes (f + psi)(x) + 1_{b}(Kx) by
+    ``_FOLDS``.  The exact arm for the kinds of f and g (``_EXACT_ARMS``)
+    returns a pair whose duality gap F(x) + G(y), G from :func:`dual_value`,
+    must be at most ``RESIDUAL_TOL``; :func:`_run_arm` then runs ``budget``
+    steps from it and must not find an F below F(x) by more than
+    ``AGREE_TOL`` relative.  For g a point indicator F is f alone, and
+    ||Kx - b|| joins the residual and, times ``FEAS_PENALTY``, the arm's
+    merit.  A failed gate, or a pair with no fold or exact arm, raises
+    :class:`OracleFailureError`.
     """
     if budget < 10 ** 5:
         raise ValueError("reference budget must be at least 1e5 iterations")
-    f, g = problem.f, problem.g
+    if isinstance(problem, EqConstrainedProblem):
+        kinds = problem.f.kind, problem.psi.kind
+        if kinds not in _FOLDS:
+            raise OracleFailureError("no oracle fold for f of kind %r with "
+                                     "psi of kind %r" % kinds)
+        problem = CompositeProblem(_FOLDS[kinds](problem.f, problem.psi),
+                                   prox.point_indicator(problem.b), problem.K)
+    f, g, K = problem.f, problem.g, problem.K
     arm = _EXACT_ARMS.get((f.kind, g.kind))
     if arm is None:
         raise OracleFailureError(f"no exact oracle arm for f of kind "
                                  f"{f.kind!r} with g of kind {g.kind!r}")
     exact = arm.__name__.lstrip("_")
-    obj = objective if objective is not None else problem.primal_value
+    obj = merit = problem.primal_value
+    feas = None
+    if g.kind == "point_indicator":
+        obj = f.value
+        feas = lambda x: float(np.linalg.norm(K.apply(x) - g.params["b"]))
+        merit = lambda x: obj(x) + FEAS_PENALTY * feas(x)
 
     def gap(x, y):
         return abs(obj(x) + dual_value(problem, y))
 
     t0 = time.perf_counter()
-    x, y = arm(problem.K.to_dense(), f, g, gap)
+    x, y = arm(K.to_dense(), f, g, gap)
     t1 = time.perf_counter()
     F = float(obj(x))
-    residual = max(gap(x, y), extra_residual(x) if extra_residual else 0.0)
+    residual = max(gap(x, y), feas(x) if feas else 0.0)
     values = {exact: F}
-    if not residual <= residual_tol:
+    if not residual <= RESIDUAL_TOL:
         raise OracleFailureError(f"the {exact} pair has a residual of "
-                                 f"{residual:.3e}, above {residual_tol:.1e}",
+                                 f"{residual:.3e}, above {RESIDUAL_TOL:.1e}",
                                  values | {"residual": residual})
-    name, x_arm, steps = _run_arm(problem, budget, x, y, merit or obj)
+    name, x_arm, steps = _run_arm(problem, budget, x, y, merit)
     values[name] = F_arm = float(obj(x_arm))
     drop = (F - F_arm) / max(1.0, abs(F))
-    if drop > agree_tol:
+    if drop > AGREE_TOL:
         raise OracleFailureError(f"{name} from the {exact} pair finds F = "
                                  f"{F_arm!r}, {drop:.3e} below {F!r}", values)
     return ReferenceSolution(x, y, F, float(residual), abs(drop), budget,

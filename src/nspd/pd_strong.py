@@ -129,7 +129,6 @@ class StrongOptions:
     trace_every: Union[int, str] = 1
     inner_tol: float = 1e-10
     inner_max: int = 500
-    averaging_x: bool = False  # solve only: average in place of the second prox
     enforce_rho0_bound: bool = True
 
 
@@ -165,7 +164,7 @@ def init_state(problem: CompositeProblem, x0, y0) -> PDStrongState:
 
 
 def step(state: PDStrongState, problem: CompositeProblem,
-         sched: StrongSchedule, averaging_x: bool = False) -> PDStrongState:
+         sched: StrongSchedule) -> PDStrongState:
     """One iteration of the merged strongly convex update."""
     k = state.k
     tau, rho, beta, eta = sched.at(k)
@@ -177,11 +176,8 @@ def step(state: PDStrongState, problem: CompositeProblem,
 
     s_tilde = beta / tau
     x_tilde_new = f.prox(state.x_tilde - s_tilde * Kt_y, s_tilde)
-    if averaging_x:
-        x_new = (1.0 - tau) * state.x + tau * x_tilde_new
-    else:
-        s_x = 1.0 / (rho * sched.norm_K ** 2)
-        x_new = f.prox(state.x_hat - s_x * Kt_y, s_x)
+    s_x = 1.0 / (rho * sched.norm_K ** 2)
+    x_new = f.prox(state.x_hat - s_x * Kt_y, s_x)
     x_hat_new = (1.0 - tau_next) * x_new + tau_next * x_tilde_new
 
     K_x_new = K.apply(x_new)
@@ -375,8 +371,8 @@ def solve(problem: CompositeProblem, x0, y0, opts: StrongOptions, recorder=None)
     state = init_state(problem, x0, y0)
     if recorder is not None:
         state.Kt_ybar = np.zeros(problem.p)  # see pd_general.PDState
-    state = run(lambda s: step(s, problem, sched, averaging_x=opts.averaging_x),
-                state, opts.max_iters, opts.trace_every, recorder,
+    state = run(lambda s: step(s, problem, sched), state, opts.max_iters,
+                opts.trace_every, recorder,
                 lambda s: (s.x, s.y_bar, {"Kx": s.K_x, "Kty": s.Kt_ybar}))
     return state, sched
 
@@ -385,10 +381,6 @@ def solve_semistrong(problem: SemiStrongProblem, x0, w0, y0,
                      opts: StrongOptions, recorder=None):
     """Run the semi-strongly convex constrained scheme; the recorder gets
     ``w`` and the constraint residual ``resid = K x + B w - b``."""
-    if opts.averaging_x:
-        raise ConfigurationError(
-            "averaging_x is not implemented for the semi-strong scheme; "
-            "leave it False")
     sched = _make_schedule(problem.f.mu, problem.K.norm, opts)
     state = init_semistrong_state(problem, x0, w0, y0)
     state = run(lambda s: semistrong_step(s, problem, sched, opts), state,

@@ -74,6 +74,37 @@ def test_cli_plotdata(tmp_path, capsys):
     assert first[1] == pytest.approx(0.0)  # log10(1.0)
 
 
+@pytest.mark.parametrize("option, quantity", [("--max-iters", "max_iters"),
+                                              ("--trace-every", "trace_every")])
+def test_cli_run_refuses_a_bad_option_as_a_usage_error(option, quantity,
+                                                       tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "game", option, "0", "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"nspd run: error: {quantity} must be" in err
+    assert "Traceback" not in err and not (tmp_path / "report.json").exists()
+
+
+def test_cli_plotdata_builds_each_column_once(tmp_path, capsys, monkeypatch):
+    tr = metrics.Trace()
+    for k in range(1, 51):
+        tr.append(k, 1.0 / k, float("inf"), 2.0 / k, float("nan"), 0.0)
+    path = tmp_path / "t.csv"
+    tr.to_csv(path)
+    calls, column = [], metrics.Trace.column
+
+    def counted(self, name):
+        calls.append(name)
+        return column(self, name)
+
+    monkeypatch.setattr(metrics.Trace, "column", counted)
+    assert cli.main(["plotdata", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 51 and out[50] == "1.698970004,-1.698970004,nan,-1.397940009,nan"
+    assert sorted(calls) == ["F", "G", "feas", "gap", "k"]
+
+
 def test_cli_solve_admm_method(tmp_path):
     cfg = {
         "problem": {"kind": "lad", "n": 15, "p": 6, "s": 2, "seed": 4},

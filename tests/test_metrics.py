@@ -1,5 +1,8 @@
 """Tests for evaluators, certificates, slope estimation and traces."""
 
+import dataclasses
+import inspect
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +21,7 @@ from nspd.metrics import (Certificate, Trace,
                           certificate_general_primal, certificate_semistrong,
                           certificate_strong_fast, certificate_strong_primal,
                           lagrangian, rate_slope)
-from nspd.problems import CompositeProblem, MatrixGame
+from nspd.problems import CompositeProblem, EqConstrainedProblem, MatrixGame
 from oracle_lp import game_gap
 
 
@@ -373,6 +376,57 @@ def test_reference_solution_refuses_a_pair_without_an_exact_arm(rng):
     with pytest.raises(OracleFailureError,
                        match="'squared_l2'.*'l1_shifted'"):
         metrics.reference_solution(problem, 100_000)
+
+
+def test_reference_solution_takes_the_problem_and_a_budget_only():
+    assert list(inspect.signature(metrics.reference_solution).parameters) == [
+        "problem", "budget"]
+
+
+def test_reference_solution_folds_an_equality_constrained_problem(rng):
+    """min lam||x||_1 + (w/2)||x||^2 s.t. Kx = b: the same solution, field
+    by field, as its point-indicator composite with the folded elastic net."""
+    K = LinearMap.from_dense(rng.standard_normal((4, 8)))
+    b = K.apply(rng.standard_normal(8))
+    eq = EqConstrainedProblem(prox.l1_norm(8, 0.1), prox.squared_l2(8, 2.0),
+                              K, b)
+    composite = CompositeProblem(prox.elastic_net(8, 0.1, 2.0),
+                                 prox.point_indicator(b), K)
+    ref, twin = (metrics.reference_solution(problem, 100_000)
+                 for problem in (eq, composite))
+    assert np.array_equal(ref.x, twin.x) and np.array_equal(ref.y, twin.y)
+    assert (ref.F, ref.residual, ref.agreement, ref.method_values) == (
+        twin.F, twin.residual, twin.agreement, twin.method_values)
+    assert ref.exact_arm == "elastic_eq_dual" and ref.residual <= 1e-8
+    assert np.linalg.norm(ref.y) < metrics.FEAS_PENALTY  # exact penalty
+
+
+def test_reference_solution_refuses_a_constrained_pair_it_cannot_fold(rng):
+    K = LinearMap.from_dense(rng.standard_normal((4, 8)))
+    problem = EqConstrainedProblem(prox.l1_norm(8, 0.1),
+                                   prox.quadratic(np.eye(8)), K, np.ones(4))
+    with pytest.raises(OracleFailureError, match="'l1'.*'quadratic'"):
+        metrics.reference_solution(problem, 100_000)
+
+
+def test_recorder_skips_g_conjugate_when_f_conjugate_is_infinite(rng):
+    """Handed K^T y, a +inf f*(-K^T y) decides G = +inf without g*(y)."""
+    lad = lad_instance(rng)
+    calls = []
+
+    def g_conj(y):
+        calls.append(1)
+        return lad.g.conjugate_value(y)
+
+    problem = CompositeProblem(lad.f, dataclasses.replace(
+        lad.g, conjugate_value=g_conj), lad.K)
+    trace = Trace()
+    record = metrics.composite_recorder(problem, trace)
+    x, y = np.zeros(problem.p), np.full(problem.n, 10.0)
+    record(1, x, y, 0.0, Kty=problem.K.adjoint_apply(y))
+    assert trace.G == [math.inf] and calls == []
+    record(2, x, y, 0.0)  # no K^T y handed over: g* first
+    assert trace.G == [math.inf, math.inf] and calls == [1]
 
 
 def test_import_nspd_leaves_scipy_optimize_and_sparse_out():

@@ -149,13 +149,6 @@ def test_two_prox_evaluations_are_consistent_for_quadratic(rng):
         assert np.allclose(f.prox(v, s), v / (1 + s * 0.8), atol=1e-12)
 
 
-def test_averaging_x_variant_runs(rng):
-    problem = elastic_instance(rng, 12, 6)
-    opts = StrongOptions(case=1, gamma=0.75, max_iters=50, averaging_x=True)
-    state, _ = pd_strong.solve(problem, np.zeros(6), np.zeros(12), opts)
-    assert np.all(np.isfinite(state.x))
-
-
 def test_squared_distance_decays_fast(rng):
     problem = elastic_instance(rng, 40, 16, mu=0.5)
     sched = StrongSchedule(1, 0.9, mu_f=0.5, norm_K=problem.K.norm)
@@ -296,14 +289,6 @@ def test_unknown_w_solver_is_refused(rng):
     with pytest.raises(ConfigurationError, match="'bogus'"):
         SemiStrongProblem(problem.f, problem.psi, problem.K, problem.B,
                           problem.b, w_solver="bogus")
-
-
-def test_semistrong_refuses_averaging_x(rng):
-    problem = semistrong_instance(rng)
-    opts = StrongOptions(case=1, gamma=0.75, max_iters=5, averaging_x=True)
-    with pytest.raises(ConfigurationError, match="averaging_x"):
-        pd_strong.solve_semistrong(problem, np.zeros(18), np.zeros(12),
-                                   np.zeros(12), opts)
 
 
 def test_closed_form_requires_neg_identity(rng):
