@@ -58,11 +58,14 @@ def _cmd_solve(args) -> int:
     prob_cfg = dict(cfg["problem"])
     kind = prob_cfg.pop("kind")
     configs = {"lad": bench.LadConfig, "game": bench.GameConfig}
-    if kind not in configs:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    inst = bench.make_instance(configs[kind](**prob_cfg))
     options = dict(cfg["solver"])
-    solve = bench.solver(options.pop("method"), options, inst)
+    try:
+        if kind not in configs:
+            raise ValueError(f"unknown problem kind {kind!r}")
+        inst = bench.make_instance(configs[kind](**prob_cfg))
+        solve = bench.solver(options.pop("method"), options, inst)
+    except (TypeError, ValueError) as exc:  # a refused config: status 2
+        args.parser.error(str(exc))
     out = cfg.get("out", "trace.csv")
     trace = metrics.Trace()
     try:
@@ -114,7 +117,7 @@ def main(argv=None) -> int:
 
     p_solve = sub.add_parser("solve", help="solve an ad-hoc problem from a config")
     p_solve.add_argument("--config", required=True)
-    p_solve.set_defaults(fn=_cmd_solve)
+    p_solve.set_defaults(fn=_cmd_solve, parser=p_solve)
 
     p_plot = sub.add_parser("plotdata", help="emit log-log-ready columns")
     p_plot.add_argument("trace")

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 # Kernel choice of :meth:`LinearMap.from_dense` (evidence in
-# BENCH_products.json, made by scripts/bench_products.py).  Below ~1e5
+# BENCH_products.json; scripts/bench_layers.py products).  Below ~1e5
 # entries scipy's per-call overhead loses to BLAS: on the 100x200 desk game
 # at 10% nonzeros a dense product takes ~4 us and a CSR one ~6-7 us.  Above
 # ~20% nonzeros dense BLAS on two threads ties CSR.

@@ -21,9 +21,9 @@ ones produced by that elimination, so both forms generate identical iterates
 
 :func:`semistrong_step` extends the method to min f(x) + psi(w) subject to
 Kx + Bw = b where only f is strongly convex; the w-subproblem is solved
-rather than linearized, as ``SemiStrongProblem.w_solver`` says: exactly
-for B = -I (``"closed_form"``), else by the accelerated proximal-gradient
-loop :func:`nspd.prox.apg` to ``StrongOptions.inner_tol`` (``"apg"``).
+rather than linearized: exactly when B is the tagged
+:func:`nspd.problems.neg_identity`, else by the accelerated
+proximal-gradient loop :func:`nspd.prox.apg` to ``StrongOptions.inner_tol``.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def _solve_w_subproblem(problem: SemiStrongProblem, rho, nu0, K_xhat, w_hat,
     """Minimize psi(w) + <B^T y~, w> + (rho/2)||K x^ + Bw - b||^2
     + (nu0/2)||w - w^||^2, exactly for B = -I, else by inner APG."""
     psi, B, b = problem.psi, problem.B, problem.b
-    if problem.w_solver == "closed_form":
+    if B.kind == "neg_identity":
         # B = -I: the quadratic collapses to (rho+nu0)/2 ||w - m||^2 - <y~, w>
         m = (rho * (K_xhat - b) + nu0 * w_hat) / (rho + nu0)
         return psi.prox(m + y_tilde / (rho + nu0), 1.0 / (rho + nu0))

@@ -79,9 +79,9 @@ class EqConstrainedProblem:
 class SemiStrongProblem:
     """min_{x,w} f(x) + psi(w) subject to Kx + Bw = b, f strongly convex.
 
-    ``w_solver`` says how the w-subproblem is solved: ``"closed_form"``
-    requires B = -Identity and takes one prox of psi; ``"apg"`` runs the
-    accelerated proximal-gradient loop :func:`nspd.prox.apg` to
+    The w-subproblem takes one prox of psi when B is the tagged
+    :func:`neg_identity`; for any other B it runs the accelerated
+    proximal-gradient loop :func:`nspd.prox.apg` to
     ``StrongOptions.inner_tol`` on the gradient-mapping norm, for at most
     ``StrongOptions.inner_max`` steps.
     """
@@ -92,7 +92,6 @@ class SemiStrongProblem:
     B: LinearMap
     b: np.ndarray
     nu0: Optional[float] = None
-    w_solver: str = "closed_form"  # "closed_form" | "apg"
 
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
@@ -102,13 +101,6 @@ class SemiStrongProblem:
             raise ConfigurationError("K, B and b disagree on the constraint dimension")
         if self.psi.dim != self.B.cols:
             raise ConfigurationError("psi and B disagree on the w dimension")
-        if self.w_solver not in ("closed_form", "apg"):
-            raise ConfigurationError(
-                f"w_solver must be 'closed_form' or 'apg', "
-                f"got {self.w_solver!r}")
-        if self.w_solver == "closed_form" and self.B.kind != "neg_identity":
-            raise ConfigurationError(
-                "closed_form w-solver requires B = -Identity (use neg_identity map)")
 
     @property
     def q(self):
@@ -129,7 +121,8 @@ class SemiStrongProblem:
 
 
 def neg_identity(n: int) -> LinearMap:
-    """The map w -> -w, tagged so the closed-form w-solver can recognize it."""
+    """The map w -> -w, tagged so the semi-strong w-step takes its closed
+    form."""
     return LinearMap(n, n, lambda x: -x, lambda y: -y, norm_estimate=1.0,
                      kind="neg_identity")
 

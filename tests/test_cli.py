@@ -86,6 +86,25 @@ def test_cli_run_refuses_a_bad_option_as_a_usage_error(option, quantity,
     assert "Traceback" not in err and not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("problem, solver, named", [
+    ({"kind": "foo"}, {"method": "pd_general"}, "unknown problem kind 'foo'"),
+    ({"kind": "lad"}, {"method": "bogus"}, "unknown method 'bogus'"),
+    ({"kind": "lad", "size": 3}, {"method": "pd_general"}, "'size'")])
+def test_cli_solve_refuses_a_bad_config_as_a_usage_error(problem, solver, named,
+                                                        tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": problem, "solver": solver,
+                                "out": str(tmp_path / "trace.csv")}))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["solve", "--config", str(path)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("nspd solve: error: ")
+    assert named in errors[0] and "Traceback" not in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_cli_plotdata_builds_each_column_once(tmp_path, capsys, monkeypatch):
     tr = metrics.Trace()
     for k in range(1, 51):

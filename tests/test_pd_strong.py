@@ -202,8 +202,9 @@ def test_w_subproblem_apg_matches_closed_form(rng):
     f = prox.elastic_net(p, 0.1, 0.4)
     psi = prox.l1_norm(q, 0.3)
     closed = SemiStrongProblem(f, psi, K, neg_identity(n), b, nu0=0.5)
-    general = SemiStrongProblem(
-        f, psi, K, neg_identity(n), b, nu0=0.5, w_solver="apg")
+    # an untagged -I: the w-step runs APG on it
+    general = SemiStrongProblem(f, psi, K, LinearMap.from_dense(-np.eye(n)), b,
+                                nu0=0.5)
     sched = StrongSchedule(1, 0.75, mu_f=0.4, norm_K=K.norm)
     s1 = init_semistrong_state(closed, np.zeros(p), np.zeros(q), np.zeros(n))
     s2 = init_semistrong_state(general, np.zeros(p), np.zeros(q), np.zeros(n))
@@ -227,8 +228,7 @@ def test_w_subproblem_apg_matches_a_linear_solve(rng):
     b = rng.standard_normal(n)
     problem = SemiStrongProblem(prox.elastic_net(p, 0.1, 0.4),
                                 prox.squared_l2(q, m), K,
-                                LinearMap.from_dense(Bm), b, nu0=nu0,
-                                w_solver="apg")
+                                LinearMap.from_dense(Bm), b, nu0=nu0)
     sched = StrongSchedule(1, 0.75, mu_f=0.4, norm_K=K.norm)
     x0, w0, y0 = (rng.standard_normal(p), rng.standard_normal(q),
                   rng.standard_normal(n))
@@ -275,28 +275,12 @@ def test_w_subproblem_apg_that_runs_out_of_steps_raises(rng):
     K = LinearMap.from_dense(rng.standard_normal((4, 5)))
     B = LinearMap.from_dense(rng.standard_normal((4, 3)))
     general = SemiStrongProblem(prox.elastic_net(5, 0.1, 0.2),
-                                prox.zero(3), K, B, rng.standard_normal(4),
-                                w_solver="apg")
+                                prox.zero(3), K, B, rng.standard_normal(4))
     sched = StrongSchedule(1, 0.75, mu_f=0.2, norm_K=K.norm)
     state = init_semistrong_state(general, np.zeros(5), np.zeros(3),
                                   np.zeros(4))
     with pytest.raises(InnerSolverError, match="w-subproblem APG"):
         semistrong_step(state, general, sched, StrongOptions(inner_max=1))
-
-
-def test_unknown_w_solver_is_refused(rng):
-    problem = semistrong_instance(rng)
-    with pytest.raises(ConfigurationError, match="'bogus'"):
-        SemiStrongProblem(problem.f, problem.psi, problem.K, problem.B,
-                          problem.b, w_solver="bogus")
-
-
-def test_closed_form_requires_neg_identity(rng):
-    K = LinearMap.from_dense(rng.standard_normal((4, 5)))
-    B = LinearMap.from_dense(rng.standard_normal((4, 3)))
-    with pytest.raises(ConfigurationError):
-        SemiStrongProblem(prox.elastic_net(5, 0.1, 0.2), prox.l1_norm(3, 0.1),
-                          K, B, np.zeros(4))
 
 
 def test_semistrong_feasible_saddle_is_nearly_fixed(rng):
@@ -336,6 +320,5 @@ def test_nu0_defaults():
     K = LinearMap.from_dense(rng.standard_normal((4, 5)))
     B = LinearMap.from_dense(rng.standard_normal((4, 3)))
     general = SemiStrongProblem(prox.elastic_net(5, 0.1, 0.2),
-                                prox.l1_norm(3, 0.1), K, B, np.zeros(4),
-                                w_solver="apg")
+                                prox.l1_norm(3, 0.1), K, B, np.zeros(4))
     assert general.resolved_nu0() == 1.0
