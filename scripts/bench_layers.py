@@ -19,10 +19,12 @@ The layers (``LAYERS``; a timed call is the mean over as many calls as fill
 
 ``step``      us per ``pd_general.step`` on lad1-desk (c = 2, gamma = 0.999,
               rho0 = 1/||K||, the benchmark's throughput solve),
-              ``pd_strong.step`` on lad2-desk (Case 2, c = 4, gamma = 0.75)
-              and ``baselines.cp_step`` on lad1-desk (rho = 1), each along
-              one continuing run; per ``conjugate_prox`` of each closed form
-              at the size the experiments use it; per soft-thresholding
+              ``pd_strong.step`` on lad2-desk (Case 2, c = 4, gamma = 0.75),
+              ``baselines.cp_step`` on lad1-desk (rho = 1) and
+              ``baselines.cp_scvx_step`` on lad2-desk (rho = 1/||K||,
+              mu_f = 0.1), each along one continuing run; per
+              ``conjugate_prox`` of each closed form at the size the
+              experiments use it; per soft-thresholding
               prox of ``l1_norm``; per ``check_finite`` of the three
               vectors ``pd_general.step`` checks.
 ``record``    us per recorder call as the driver makes it after 100 steps:
@@ -119,6 +121,8 @@ def _step(batch_s):
     strong_state = pd_strong.init_state(lad2, np.zeros(p), np.zeros(n))
     cp_state = baselines.init_cp_state(lad1, np.zeros(p), np.zeros(n), 1.0,
                                        1.0 / lad1.K.norm ** 2)
+    scvx_state = baselines.init_cp_state(lad2, np.zeros(p), np.zeros(n),
+                                         1.0 / lad2.K.norm, 1.0 / lad2.K.norm)
 
     rng = np.random.default_rng(0)
     b = rng.standard_normal(200)
@@ -142,6 +146,8 @@ def _step(batch_s):
         "pd_strong.step": lambda: pd_strong.step(strong_state, lad2,
                                                  strong_sched),
         "baselines.cp_step": lambda: baselines.cp_step(cp_state, lad1),
+        "baselines.cp_scvx_step": lambda: baselines.cp_scvx_step(
+            scvx_state, lad2, lad2.f.mu),
         "check_finite": lambda: check_finite(0, **vecs),
         "prox.l1_norm_64": lambda: l1.prox(soft_v, 0.5),
     }

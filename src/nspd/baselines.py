@@ -67,7 +67,7 @@ class BaselineConfig:
         return beta
 
 
-# -- fixed-step primal-dual (extrapolation theta = 1) ------------------------
+# -- fixed-step primal-dual, plain (theta = 1) and strongly convex -----------
 
 @dataclass
 class CPState:
@@ -89,33 +89,13 @@ def init_cp_state(problem, x0, y0, rho, beta) -> CPState:
                    rho=rho, beta=beta)
 
 
-def cp_step(state: CPState, problem: CompositeProblem) -> CPState:
-    """Fixed-step primal-dual update with extrapolation parameter 1."""
+def _cp_update(state: CPState, problem: CompositeProblem, theta) -> CPState:
+    """Fixed-step primal-dual update extrapolating with ``theta``, after
+    which beta <- theta beta and rho <- rho/theta, so beta rho is invariant."""
     f, g, K = problem.f, problem.g, problem.K
     y_new = conjugate_prox(g, state.y + state.rho * K.apply(state.x_bar), state.rho)
     x_new = f.prox(state.x - state.beta * K.adjoint_apply(y_new), state.beta)
-    x_bar_new = 2.0 * x_new - state.x
-    check_finite(state.k, x=x_new, y=y_new)
-
-    k1 = state.k + 1
-    state.x_erg = state.x_erg + (x_new - state.x_erg) / k1
-    state.y_erg = state.y_erg + (y_new - state.y_erg) / k1
-    state.x = x_new
-    state.x_bar = x_bar_new
-    state.y = y_new
-    state.k = k1
-    return state
-
-
-def cp_scvx_step(state: CPState, problem: CompositeProblem, mu_f: float) -> CPState:
-    """Strongly convex variant: theta_k = 1/sqrt(1 + 2 mu_f beta_k),
-    beta_{k+1} = theta_k beta_k, rho_{k+1} = rho_k/theta_k, extrapolation
-    with theta_k.  The product beta_k rho_k is invariant."""
-    f, g, K = problem.f, problem.g, problem.K
-    y_new = conjugate_prox(g, state.y + state.rho * K.apply(state.x_bar), state.rho)
-    x_new = f.prox(state.x - state.beta * K.adjoint_apply(y_new), state.beta)
-    theta = 1.0 / np.sqrt(1.0 + 2.0 * mu_f * state.beta)
-    x_bar_new = x_new + theta * (x_new - state.x)
+    x_bar_new = (1.0 + theta) * x_new - theta * state.x
     check_finite(state.k, x=x_new, y=y_new)
 
     k1 = state.k + 1
@@ -128,6 +108,17 @@ def cp_scvx_step(state: CPState, problem: CompositeProblem, mu_f: float) -> CPSt
     state.rho = state.rho / theta
     state.k = k1
     return state
+
+
+def cp_step(state: CPState, problem: CompositeProblem) -> CPState:
+    """Fixed-step primal-dual update with extrapolation parameter 1."""
+    return _cp_update(state, problem, 1.0)
+
+
+def cp_scvx_step(state: CPState, problem: CompositeProblem, mu_f: float) -> CPState:
+    """Strongly convex variant: the update of :func:`_cp_update` with
+    theta_k = 1/sqrt(1 + 2 mu_f beta_k)."""
+    return _cp_update(state, problem, 1.0 / np.sqrt(1.0 + 2.0 * mu_f * state.beta))
 
 
 # -- ADMM on the split reformulation -----------------------------------------

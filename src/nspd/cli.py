@@ -55,15 +55,16 @@ def _cmd_run(args) -> int:
 def _cmd_solve(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    prob_cfg = dict(cfg["problem"])
-    kind = prob_cfg.pop("kind")
     configs = {"lad": bench.LadConfig, "game": bench.GameConfig}
-    options = dict(cfg["solver"])
     try:
+        prob_cfg, options = dict(cfg["problem"]), dict(cfg["solver"])
+        kind, method = prob_cfg.pop("kind"), options.pop("method")
         if kind not in configs:
             raise ValueError(f"unknown problem kind {kind!r}")
         inst = bench.make_instance(configs[kind](**prob_cfg))
-        solve = bench.solver(options.pop("method"), options, inst)
+        solve = bench.solver(method, options, inst)
+    except KeyError as exc:  # a missing required key: status 2
+        args.parser.error(f"the config lacks the key {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:  # a refused config: status 2
         args.parser.error(str(exc))
     out = cfg.get("out", "trace.csv")

@@ -180,10 +180,8 @@ def composite_recorder(problem: CompositeProblem, trace: Trace,
         F = f.value(x) + g.value(Kx)
         G = gap = math.nan
         if have_conj and y is not None:
-            if Kty is None:  # G = +inf if g* is: testing it spares K^T y
-                gv = g_conj(y)
-                G = (float(f_conj(-K.adjoint_apply(y)) + gv)
-                     if math.isfinite(gv) else math.inf)
+            if Kty is None:
+                G = dual_value(problem, y)
             else:  # G = +inf if f* is: testing it first spares g*
                 fv = f_conj(-Kty)
                 G = float(fv + g_conj(y)) if math.isfinite(fv) else math.inf

@@ -80,11 +80,10 @@ class GeneralSchedule:
 
 @dataclass
 class GeneralOptions:
-    """Options for :func:`solve`.
+    """Options for :func:`solve` and :func:`solve_constrained`.
 
-    rho0 may be the string "auto": with a reference pair it applies
-    5 sqrt(gamma/(1-gamma)) ||y0 - y*|| / (||K|| ||x0 - x*||), otherwise
-    it falls back to 1/||K||.
+    rho0 may be the string "auto", which means 1/||K||; the rule balanced
+    by a reference pair is :func:`resolve_rho0` with that pair.
     """
 
     c: float = 1.0
@@ -274,15 +273,13 @@ def split_step(state: RawState, problem: CompositeProblem,
 
 # -- drivers -----------------------------------------------------------------
 
-def _schedule(problem, opts: GeneralOptions, x0, y0, x_ref, y_ref):
-    rho0 = resolve_rho0(opts.rho0, opts.gamma, problem.K.norm,
-                        x0=x0, y0=y0, x_ref=x_ref, y_ref=y_ref)
+def _schedule(problem, opts: GeneralOptions):
+    rho0 = resolve_rho0(opts.rho0, opts.gamma, problem.K.norm)
     return GeneralSchedule(c=opts.c, gamma=opts.gamma, rho0=rho0,
                            norm_K=problem.K.norm)
 
 
-def solve(problem: CompositeProblem, x0, y0, opts: GeneralOptions,
-          recorder=None, x_ref=None, y_ref=None):
+def solve(problem: CompositeProblem, x0, y0, opts: GeneralOptions, recorder=None):
     """Run the merged update for opts.max_iters iterations.
 
     Returns the final :class:`PDState` and the schedule.  ``recorder`` (if
@@ -290,7 +287,7 @@ def solve(problem: CompositeProblem, x0, y0, opts: GeneralOptions,
     non-ergodic primal iterate and the averaged dual iterate at the trace
     cadence; a returned value at or below ``opts.tol`` stops the run.
     """
-    sched = _schedule(problem, opts, x0, y0, x_ref, y_ref)
+    sched = _schedule(problem, opts)
     state = init_state(problem, x0, y0)
     if recorder is not None:
         state.Kt_ybar = np.zeros(problem.p)  # see PDState
@@ -302,13 +299,13 @@ def solve(problem: CompositeProblem, x0, y0, opts: GeneralOptions,
 
 
 def solve_constrained(problem: EqConstrainedProblem, x0, y0, opts: GeneralOptions,
-                      recorder=None, x_ref=None, y_ref=None):
+                      recorder=None):
     """Run :func:`step` on f + indicator_{b}(Kx) with ``problem.psi`` as
     the smooth term; the recorder gets ``Kx=K x``, and ``opts.tol``
     applies to what it returns."""
     composite = CompositeProblem(problem.f, point_indicator(problem.b),
                                  problem.K)
-    sched = _schedule(problem, opts, x0, y0, x_ref, y_ref)
+    sched = _schedule(problem, opts)
     state = init_state(composite, x0, y0)
     state = run(lambda s: step(s, composite, sched, psi=problem.psi), state,
                 opts.max_iters, opts.trace_every, recorder,

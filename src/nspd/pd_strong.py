@@ -28,14 +28,15 @@ proximal-gradient loop :func:`nspd.prox.apg` to ``StrongOptions.inner_tol``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
+from . import pd_general
 from .driver import run
 from .errors import ConfigurationError, check_finite
-from .pd_general import _dual_correction
+from .pd_general import PDState, RawState, _dual_correction, init_split_state
 from .problems import CompositeProblem, SemiStrongProblem
 from .prox import apg, conjugate_prox
 
@@ -43,7 +44,6 @@ __all__ = [
     "StrongSchedule",
     "StrongOptions",
     "PDStrongState",
-    "RawStrongState",
     "SemiStrongState",
     "init_state",
     "step",
@@ -135,32 +135,16 @@ class StrongOptions:
 # -- merged form -------------------------------------------------------------
 
 @dataclass
-class PDStrongState:
-    """Iterates of the merged form; ``u`` (the previous step's term of the
-    three-point dual correction) and ``Kt_ybar`` are as in
-    :class:`nspd.pd_general.PDState`."""
+class PDStrongState(PDState):
+    """The iterates of :class:`nspd.pd_general.PDState` plus the
+    extrapolation sequence ``x_tilde`` that the second prox of f drives."""
 
-    k: int
-    x: np.ndarray
-    x_tilde: np.ndarray
-    x_hat: np.ndarray
-    y: np.ndarray
-    y_tilde: np.ndarray
-    y_bar: np.ndarray
-    K_x: np.ndarray
-    K_xhat: np.ndarray
-    u: np.ndarray
-    Kt_ybar: Optional[np.ndarray] = None
+    x_tilde: np.ndarray = field(kw_only=True)
 
 
 def init_state(problem: CompositeProblem, x0, y0) -> PDStrongState:
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    Kx0 = problem.K.apply(x0)
-    return PDStrongState(k=0, x=x0.copy(), x_tilde=x0.copy(),
-                         x_hat=x0.copy(), y=y0.copy(), y_tilde=y0.copy(),
-                         y_bar=y0.copy(), K_x=Kx0, K_xhat=Kx0.copy(),
-                         u=np.zeros_like(Kx0))
+    state = pd_general.init_state(problem, x0, y0)
+    return PDStrongState(**vars(state), x_tilde=state.x.copy())
 
 
 def step(state: PDStrongState, problem: CompositeProblem,
@@ -207,27 +191,8 @@ def step(state: PDStrongState, problem: CompositeProblem,
 
 # -- split form --------------------------------------------------------------
 
-@dataclass
-class RawStrongState:
-    k: int
-    x: np.ndarray
-    x_tilde: np.ndarray
-    r: np.ndarray
-    y_tilde: np.ndarray
-    y_bar: np.ndarray
-    y: np.ndarray
-
-
-def init_split_state(problem: CompositeProblem, x0, y0) -> RawStrongState:
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    return RawStrongState(k=0, x=x0.copy(), x_tilde=x0.copy(),
-                          r=problem.K.apply(x0), y_tilde=y0.copy(),
-                          y_bar=y0.copy(), y=y0.copy())
-
-
-def split_step(state: RawStrongState, problem: CompositeProblem,
-               sched: StrongSchedule) -> RawStrongState:
+def split_step(state: RawState, problem: CompositeProblem,
+               sched: StrongSchedule) -> RawState:
     """One iteration of the split scheme with explicit residual."""
     k = state.k
     tau, rho, beta, eta = sched.at(k)

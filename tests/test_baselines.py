@@ -75,6 +75,20 @@ def test_cp_scvx_degenerates_to_cp_for_tiny_mu(rng):
     assert np.linalg.norm(s1.x - s2.x) <= 1e-8
 
 
+def test_cp_scvx_with_zero_mu_is_cp_bit_for_bit(rng):
+    # theta = 1/sqrt(1 + 0) is 1.0 exactly, so both steps are one update
+    problem = lad_instance(rng)
+    rho = 1.0 / problem.K.norm
+    beta = 1.0 / (rho * problem.K.norm ** 2)
+    s1, s2 = (init_cp_state(problem, np.zeros(12), np.zeros(30), rho, beta)
+              for _ in range(2))
+    for _ in range(50):
+        cp_scvx_step(s1, problem, 0.0)
+        cp_step(s2, problem)
+    for name in ("x", "x_bar", "y", "x_erg", "y_erg", "rho", "beta"):
+        assert np.array_equal(getattr(s1, name), getattr(s2, name)), name
+
+
 def test_cp_scvx_step_product_invariant(rng):
     problem = lad_instance(rng, mu=0.5)
     state = init_cp_state(problem, np.zeros(12), np.zeros(30), 0.5, 0.1)

@@ -92,9 +92,25 @@ def test_cli_run_refuses_a_bad_option_as_a_usage_error(option, quantity,
     ({"kind": "lad", "size": 3}, {"method": "pd_general"}, "'size'")])
 def test_cli_solve_refuses_a_bad_config_as_a_usage_error(problem, solver, named,
                                                         tmp_path, capsys):
+    _assert_usage_error({"problem": problem, "solver": solver}, named,
+                        tmp_path, capsys)
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"solver": {"method": "pd_general"}}, "problem"),
+    ({"problem": {"kind": "lad"}}, "solver"),
+    ({"problem": {"n": 20}, "solver": {"method": "pd_general"}}, "kind"),
+    ({"problem": {"kind": "lad"}, "solver": {"c": 2.0}}, "method")])
+def test_cli_solve_refuses_a_config_missing_a_key(cfg, key, tmp_path, capsys):
+    _assert_usage_error(cfg, f"the config lacks the key {key!r}", tmp_path,
+                        capsys)
+
+
+def _assert_usage_error(cfg, named, tmp_path, capsys):
+    """``nspd solve`` on ``cfg`` exits 2 with one error line naming
+    ``named``, no traceback and no trace written."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"problem": problem, "solver": solver,
-                                "out": str(tmp_path / "trace.csv")}))
+    path.write_text(json.dumps(cfg | {"out": str(tmp_path / "trace.csv")}))
     with pytest.raises(SystemExit) as exit_:
         cli.main(["solve", "--config", str(path)])
     assert exit_.value.code == 2

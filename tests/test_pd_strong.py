@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nspd import pd_strong, prox
+from nspd import pd_general, pd_strong, prox
 from nspd.errors import ConfigurationError, InnerSolverError
 from nspd.linop import LinearMap
 from nspd.pd_strong import (StrongOptions, StrongSchedule, init_semistrong_state,
@@ -98,6 +98,17 @@ def test_decoupled_quadratic_contracts_to_zero():
         norms.append(np.linalg.norm(state.x_tilde))
     assert all(b < a for a, b in zip(norms, norms[1:]))
     assert np.linalg.norm(state.x) < 1e-3
+
+
+def test_init_state_extends_the_general_state(rng):
+    problem = elastic_instance(rng)
+    x0, y0 = rng.standard_normal(20), rng.standard_normal(50)
+    strong = init_state(problem, x0, y0)
+    general = pd_general.init_state(problem, x0, y0)
+    for name, value in vars(general).items():
+        assert np.array_equal(getattr(strong, name), value), name
+    assert set(vars(strong)) == set(vars(general)) | {"x_tilde"}
+    assert np.array_equal(strong.x_tilde, x0)
 
 
 @pytest.mark.parametrize("case,c", [(1, 4.0), (2, 4.0), (2, 3.0)])
