@@ -165,7 +165,6 @@ class ExperimentSpec:
     scale: str = "desk"  # desk | paper
     seed: int = 0
     max_iters: int = 10_000
-    reference_budget: int = 1_000_000
     trace_every: int | str = 1
     out_dir: str = "runs"
     check: bool = False
@@ -414,8 +413,7 @@ def _run_rows(spec: ExperimentSpec, exp: _Experiment) -> dict:
     ref = None
     if exp.reference:
         try:
-            ref = metrics.reference_solution(inst.problem,
-                                             spec.reference_budget)
+            ref = metrics.reference_solution(inst.problem)
         except OracleFailureError as exc:
             return _report(inst, [], [], 3) | {"oracle_error": str(exc)}
 

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     nspd run <experiment> [--desk|--paper] [--seed N] [--max-iters N]
-             [--out DIR] [--check] [--epsilon E]
+             [--trace-every N|log] [--out DIR] [--check] [--epsilon E]
     nspd solve --config FILE
     nspd plotdata TRACE.csv
 
@@ -31,7 +31,6 @@ def _cmd_run(args) -> int:
             scale="paper" if args.paper else "desk",
             seed=args.seed,
             max_iters=args.max_iters,
-            reference_budget=args.reference_budget,
             trace_every=args.trace_every,
             out_dir=args.out,
             check=args.check,
@@ -106,7 +105,8 @@ def main(argv=None) -> int:
     scale.add_argument("--paper", action="store_true")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--max-iters", type=int, default=10_000)
-    p_run.add_argument("--reference-budget", type=int, default=1_000_000)
+    # unused, as the oracle takes no budget; perfbench/workloads.py passes it
+    p_run.add_argument("--reference-budget", type=int, help=argparse.SUPPRESS)
     p_run.add_argument("--trace-every", default=1,
                        type=lambda s: s if s == "log" else int(s))
     p_run.add_argument("--out", default="runs")

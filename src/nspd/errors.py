@@ -67,10 +67,6 @@ class UnsupportedMetricError(ValueError):
 class OracleFailureError(RuntimeError):
     """No certified optimum: the oracle has no exact arm or a gate failed."""
 
-    def __init__(self, message, values=None):
-        super().__init__(message)
-        self.values = values or {}
-
 
 class CertificateUnavailableError(ValueError):
     """A bound needs a reference point or constant that was not supplied."""

@@ -1,6 +1,7 @@
 """Objective/gap evaluators, worst-case bound certificates, the empirical
 rate-slope estimator, and the reference oracle: an exact solve for each
-(f, g) pair it knows, corroborated by the non-stationary method.
+(f, g) pair it knows, certified by its duality gap split into two
+Fenchel-Young terms.
 
 A :class:`Certificate` packages an evaluated bound constant together with
 the decay shape it multiplies (1/(2k), 1/(k+c-1), 2/(k+1)^2, 1/(k+c-1)^2).
@@ -31,8 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import pd_general, pd_strong, prox
-from .driver import run
+from . import prox
 from .errors import (CertificateUnavailableError, OracleFailureError,
                      UnsupportedMetricError)
 from .problems import CompositeProblem, EqConstrainedProblem, MatrixGame
@@ -60,7 +60,6 @@ __all__ = [
 
 CERT_SLACK = 1e-6  # slack factor: 1e-6 * (1 + constant)
 AGREE_TOL = RESIDUAL_TOL = 1e-8  # the oracle's gates; never loosened
-FEAS_PENALTY = 100.0  # an exact penalty on ||Kx - b|| while it exceeds ||y*||_2
 
 
 # -- traces -------------------------------------------------------------------
@@ -447,21 +446,14 @@ def trace_slope(trace: Trace, metric: str, k_lo, k_hi,
 
 @dataclass
 class ReferenceSolution:
-    """The oracle's optimum, and what its arms found and took."""
+    """The oracle's optimum, its residual, and the exact arm and its time."""
 
     x: np.ndarray
     y: np.ndarray
     F: float
     residual: float
-    agreement: float
-    budget: int
-    method_values: dict
     exact_arm: str = ""
     exact_s: float = 0.0
-    corroboration_steps: int = 0
-    corroboration_s: float = 0.0
-    stage: str = "exact+corroborated"
-    source: str = "numerical"
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)[2:]}
@@ -586,47 +578,23 @@ _FOLDS = {("l1", "squared_l2"):  # (f.kind, psi.kind) -> f + psi, one prox
           lambda f, psi: prox.elastic_net(f.dim, f.params["lam"], psi.params["w"])}
 
 
-def _run_arm(problem, budget, x_start, y_start, merit):
-    """The corroboration arm: ``budget`` steps of the non-stationary method
-    with c = 2 (Case 2 with c = 4 when f.mu > 0) from (x_start, y_start).
-    Returns its name, its iterate of least ``merit`` over records every
-    ``budget // 20000`` steps, and the steps taken."""
-    norm_K = problem.K.norm
-    if problem.f.mu > 0:
-        method, name = pd_strong, "pd_strong_case2"
-        sched = pd_strong.StrongSchedule(2, 0.75, problem.f.mu, norm_K, c=4.0)
-    else:
-        method, name = pd_general, "pd_general_c2"
-        sched = pd_general.GeneralSchedule(c=2.0, gamma=0.999,
-                                           rho0=1.0 / norm_K, norm_K=norm_K)
-    best = [np.inf, np.array(x_start, dtype=float)]
-
-    def record(k, x, y, t, **_):
-        if merit(x) < best[0]:
-            best[:] = merit(x), x.copy()
-
-    state = run(lambda s: method.step(s, problem, sched),
-                method.init_state(problem, x_start, y_start), budget,
-                max(budget // 20_000, 1), record, lambda s: (s.x, s.y_bar, {}))
-    return name, best[1], state.k
-
-
-def reference_solution(problem: CompositeProblem | EqConstrainedProblem,
-                       budget: int) -> ReferenceSolution:
-    """An optimum solved exactly and corroborated iteratively.
+def reference_solution(problem: CompositeProblem | EqConstrainedProblem
+                       ) -> ReferenceSolution:
+    """An optimum solved exactly and certified by weak duality.
 
     An :class:`EqConstrainedProblem` becomes (f + psi)(x) + 1_{b}(Kx) by
     ``_FOLDS``.  The exact arm for the kinds of f and g (``_EXACT_ARMS``)
     returns a pair whose duality gap F(x) + G(y), G from :func:`dual_value`,
-    must be at most ``RESIDUAL_TOL``; :func:`_run_arm` then runs ``budget``
-    steps from it and must not find an F below F(x) by more than
-    ``AGREE_TOL`` relative.  For g a point indicator F is f alone, and
-    ||Kx - b|| joins the residual and, times ``FEAS_PENALTY``, the arm's
-    merit.  A failed gate, or a pair with no fold or exact arm, raises
-    :class:`OracleFailureError`.
+    must be at most ``RESIDUAL_TOL``; for g a point indicator F is f alone
+    and ||Kx - b|| joins the residual.  With exact conjugates every feasible
+    x' has F(x') >= -G(y) >= F(x) - gap, so no method can improve on x by
+    more than the gap.  The gap is the sum of two Fenchel-Young terms,
+    FY_f = f(x) + f*(-K^T y) + <x, K^T y> and FY_g = g(Kx) + g*(y) - <Kx, y>
+    (g(Kx) = 0 for a point indicator), each >= 0 when its conjugate is
+    exact; a term below -``AGREE_TOL`` max(1, |F|) means a conjugate value
+    under-reports.  A failed gate, or a pair with no fold or exact arm,
+    raises :class:`OracleFailureError`.
     """
-    if budget < 10 ** 5:
-        raise ValueError("reference budget must be at least 1e5 iterations")
     if isinstance(problem, EqConstrainedProblem):
         kinds = problem.f.kind, problem.psi.kind
         if kinds not in _FOLDS:
@@ -640,35 +608,33 @@ def reference_solution(problem: CompositeProblem | EqConstrainedProblem,
         raise OracleFailureError(f"no exact oracle arm for f of kind "
                                  f"{f.kind!r} with g of kind {g.kind!r}")
     exact = arm.__name__.lstrip("_")
-    obj = merit = problem.primal_value
-    feas = None
-    if g.kind == "point_indicator":
-        obj = f.value
-        feas = lambda x: float(np.linalg.norm(K.apply(x) - g.params["b"]))
-        merit = lambda x: obj(x) + FEAS_PENALTY * feas(x)
+    point = g.kind == "point_indicator"
+    obj = f.value if point else problem.primal_value
 
     def gap(x, y):
         return abs(obj(x) + dual_value(problem, y))
 
     t0 = time.perf_counter()
     x, y = arm(K.to_dense(), f, g, gap)
-    t1 = time.perf_counter()
+    exact_s = time.perf_counter() - t0
     F = float(obj(x))
-    residual = max(gap(x, y), feas(x) if feas else 0.0)
-    values = {exact: F}
+    Kx = K.apply(x)
+    residual = max(gap(x, y), float(np.linalg.norm(Kx - g.params["b"]))
+                   if point else 0.0)
     if not residual <= RESIDUAL_TOL:
         raise OracleFailureError(f"the {exact} pair has a residual of "
-                                 f"{residual:.3e}, above {RESIDUAL_TOL:.1e}",
-                                 values | {"residual": residual})
-    name, x_arm, steps = _run_arm(problem, budget, x, y, merit)
-    values[name] = F_arm = float(obj(x_arm))
-    drop = (F - F_arm) / max(1.0, abs(F))
-    if drop > AGREE_TOL:
-        raise OracleFailureError(f"{name} from the {exact} pair finds F = "
-                                 f"{F_arm!r}, {drop:.3e} below {F!r}", values)
-    return ReferenceSolution(x, y, F, float(residual), abs(drop), budget,
-                             values, exact, t1 - t0, steps,
-                             time.perf_counter() - t1)
+                                 f"{residual:.3e}, above {RESIDUAL_TOL:.1e}")
+    Kty = K.adjoint_apply(y)
+    terms = {"FY_f": f.value(x) + f.conjugate_value(-Kty) + x @ Kty,
+             "FY_g": (0.0 if point else g.value(Kx)) + g.conjugate_value(y)
+             - Kx @ y}
+    for name, term in terms.items():
+        if not term >= -AGREE_TOL * max(1.0, abs(F)):
+            raise OracleFailureError(
+                f"the {exact} pair has a Fenchel-Young term {name} = "
+                f"{term:.3e}, below -{AGREE_TOL:.1e} max(1, |F|): a "
+                f"conjugate value under-reports")
+    return ReferenceSolution(x, y, F, float(residual), exact, exact_s)
 
 
 def certificates_to_json(certs, path):

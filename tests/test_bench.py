@@ -203,10 +203,8 @@ def test_lad_experiment_rows(tmp_path, monkeypatch, name):
     ref_x = np.linspace(-0.5, 0.5, 6)
     ref_y = np.linspace(-0.2, 0.2, 16)
     ref = metrics.ReferenceSolution(ref_x, ref_y, F=0.0, residual=0.0,
-                                    agreement=0.0, budget=0,
-                                    method_values={}, exact_arm="stub")
-    monkeypatch.setattr(metrics, "reference_solution",
-                        lambda problem, budget: ref)
+                                    exact_arm="stub")
+    monkeypatch.setattr(metrics, "reference_solution", lambda problem: ref)
     made = []
     make_instance = bench.make_instance
     monkeypatch.setattr(bench, "make_instance",

@@ -44,6 +44,17 @@ def test_cli_check_fails_when_a_certified_variant_fails(tmp_path, capsys,
     assert report["certificates"] == []
 
 
+def test_cli_run_accepts_the_benchmarks_reference_budget_flag(tmp_path):
+    """perfbench/workloads.py passes --reference-budget; the oracle takes
+    no budget, so the flag is parsed and its value unused."""
+    code = cli.main(["run", "lad-case1", "--desk", "--max-iters", "5",
+                     "--reference-budget", "100000", "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh)
+    assert report["oracle_ok"] and "reference_budget" not in report["spec"]
+
+
 def test_cli_solve_from_config(tmp_path, capsys):
     cfg = {
         "problem": {"kind": "lad", "n": 20, "p": 8, "s": 2, "seed": 3},

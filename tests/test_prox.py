@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nspd.prox import (_soft, apg, conjugate_prox, elastic_net, l1_norm,
                        l1_shifted, point_indicator, project_simplex,
@@ -316,6 +316,48 @@ def test_simplex_support_conjugate_prox_is_projection(seed):
     rho = float(rng.uniform(0.1, 10))
     h = simplex_support(6)
     assert np.max(np.abs(conjugate_prox(h, v, rho) - project_simplex(v))) <= 1e-12
+
+
+def _fenchel_young(h, u, v):
+    """h(u) + h*(v) - <u, v>, and the scale its rounding is relative to."""
+    terms = (h.value(u), h.conjugate_value(v), float(u @ v))
+    return terms[0] + terms[1] - terms[2], max(1.0, *map(abs, terms))
+
+
+_CONJUGATES = [h for h in builtin_functions() if h.conjugate_value]
+_DRAWS = (st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 1.0),
+          st.floats(-2.0, 2.0))
+
+
+# The examples put every term below 1 for some h (a long step for the
+# shifted functions, a short one for simplex_support), so that a conjugate
+# off by more than 1e-12 fails at scale 1.
+@pytest.mark.parametrize("h", _CONJUGATES, ids=lambda h: h.name)
+@example(seed=0, log_scale=-6.0, log_tau=2.0)
+@example(seed=0, log_scale=-6.0, log_tau=-2.0)
+@given(*_DRAWS)
+def test_fenchel_young_equality_at_prox_pairs(h, seed, log_scale, log_tau):
+    """u = prox_{tau h}(z) and v = (z - u)/tau has v in dh(u), where
+    h(u) + h*(v) = <u, v>."""
+    z = np.random.default_rng(seed).standard_normal(h.dim) * 10 ** log_scale
+    tau = 10 ** log_tau
+    u = h.prox(z, tau)
+    gap, scale = _fenchel_young(h, u, (z - u) / tau)
+    assert abs(gap) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("h", _CONJUGATES, ids=lambda h: h.name)
+@given(*_DRAWS)
+def test_fenchel_young_inequality_at_random_pairs(h, seed, log_scale,
+                                                  log_tau):
+    """h(u) + h*(v) >= <u, v> for u in dom h and v in dom h*, drawn by the
+    prox of h and of h*."""
+    rng = np.random.default_rng(seed)
+    z1, z2 = rng.standard_normal((2, h.dim)) * 10 ** log_scale
+    u = h.prox(z1, 10 ** log_tau)
+    v = conjugate_prox(h, z2, float(rng.uniform(0.01, 100.0)))
+    gap, scale = _fenchel_young(h, u, v)
+    assert gap >= -1e-12 * scale
 
 
 def test_indicator_values_use_feasibility_tolerance():
