@@ -41,9 +41,7 @@ The layers (``LAYERS``; a timed call is the mean over as many calls as fill
               held memory after the first (``VmHWM``/``VmRSS``).
 ``oracle``    seconds of ``metrics.reference_solution`` and of its exact arm
               on each instance ``tests/test_acceptance.py`` hands it, with
-              the suite's seeds, and the F and residual it returns (a
-              checkout whose oracle still takes an iteration budget gets
-              its floor, 1e5).
+              the suite's seeds, and the F and residual it returns.
 ``norm``      seconds per ``estimate_norm`` at its defaults (what
               ``LinearMap.norm`` runs) on lad1/lad2-desk, lad1-paper and
               the paper game's matrix before its scaling, its step count
@@ -61,7 +59,6 @@ The layers (``LAYERS``; a timed call is the mean over as many calls as fill
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import json
 import os
@@ -291,13 +288,11 @@ def _oracle(batch_s):
         "crit10_game_30x40": bench.gen_game(bench.GameConfig(
             n=30, p=40, seed=11)).to_composite(),
     }
-    budget = (10 ** 5,) if "budget" in inspect.signature(
-        metrics.reference_solution).parameters else ()
     out = {}
     for name, problem in instances.items():
         problem.K.norm
         t0 = time.perf_counter()
-        ref = metrics.reference_solution(problem, *budget)
+        ref = metrics.reference_solution(problem)
         out.update({name + "_exact_arm_s": ref.exact_s,
                     name + "_oracle_s": time.perf_counter() - t0,
                     name + "_F": ref.F, name + "_residual": ref.residual})

@@ -46,7 +46,6 @@ class BaselineConfig:
 
     rho: float = 1.0
     beta: Optional[float] = None  # default: 1/(rho ||K||^2)
-    mu_f: float = 0.0             # strongly convex variant only
     inner_tol: float = 1e-10
     inner_max: int = 1000
     output_mode: str = "ergodic"  # "ergodic" | "last_iterate"
@@ -146,20 +145,16 @@ def admm_step(state: ADMMState, problem: CompositeProblem,
     f, g, K = problem.f, problem.g, problem.K
     rho = cfg.rho
     target = state.r - state.u
-    if K.kind == "identity":
-        # resolvent in closed form when K is the identity
-        x_new = f.prox(target, 1.0 / rho)
+    L = rho * K.norm ** 2
+    if L == 0.0:
+        # no coupling: the subproblem is min f alone
+        x_new = f.prox(state.x, 1e12)
     else:
-        L = rho * K.norm ** 2
-        if L == 0.0:
-            # no coupling: the subproblem is min f alone
-            x_new = f.prox(state.x, 1e12)
-        else:
-            # min_x f(x) + (rho/2) ||Kx - target||^2, warm-started at x_k
-            x_new = apg(f.prox,
-                        lambda x: rho * K.adjoint_apply(K.apply(x) - target),
-                        L, state.x, cfg.inner_tol, cfg.inner_max,
-                        "ADMM x-subproblem")
+        # min_x f(x) + (rho/2) ||Kx - target||^2, warm-started at x_k
+        x_new = apg(f.prox,
+                    lambda x: rho * K.adjoint_apply(K.apply(x) - target),
+                    L, state.x, cfg.inner_tol, cfg.inner_max,
+                    "ADMM x-subproblem")
     Kx = K.apply(x_new)
     r_new = g.prox(Kx + state.u, 1.0 / rho)
     u_new = state.u + Kx - r_new
@@ -196,11 +191,13 @@ def solve_cp(problem, x0, y0, cfg: BaselineConfig, recorder=None) -> CPState:
 
 
 def solve_cp_scvx(problem, x0, y0, cfg: BaselineConfig, recorder=None) -> CPState:
-    if cfg.mu_f <= 0:
-        raise ConfigurationError("the strongly convex variant needs mu_f > 0")
+    """The strongly convex variant with mu_f = ``problem.f.mu``."""
+    mu_f = problem.f.mu
+    if mu_f <= 0:
+        raise ConfigurationError("the strongly convex variant needs f.mu > 0")
     beta = cfg.resolved_beta(problem.K.norm)
     state = init_cp_state(problem, x0, y0, cfg.rho, beta)
-    return _run(lambda s: cp_scvx_step(s, problem, cfg.mu_f), state, cfg,
+    return _run(lambda s: cp_scvx_step(s, problem, mu_f), state, cfg,
                 recorder, lambda s: s.y)
 
 

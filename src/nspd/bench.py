@@ -332,7 +332,7 @@ def _lad_case2(spec) -> _Experiment:
                          2, 0.75, mu_f, norm_K, c=4.0).rho0,
                      0.75, mu_f, norm_K)),
             *(_Row(f"cp_scvx_rho{s:g}", solver("cp_scvx", dict(
-                it, rho=s * rho_cp, mu_f=mu_f), inst))
+                it, rho=s * rho_cp), inst))
               for s in (0.01, 0.75, 1.0, 5.0)),
         ], {"reference": ref.to_dict()}
 

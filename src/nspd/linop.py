@@ -2,8 +2,8 @@
 
 Solvers consume operators only through :class:`LinearMap`, which bundles a
 forward map, its adjoint, and a spectral-norm estimate (a Lanczos Ritz
-value, see :func:`estimate_norm`).  Two concrete constructions are provided
-(dense row-major matrices and sparse triplets) plus identity and zero maps.
+value, see :func:`estimate_norm`).  Two concrete constructions are provided:
+dense row-major matrices and sparse triplets.
 A dense matrix keeps a copy of its array and multiplies through BLAS,
 unless it has at least ``_CSR_MIN_ENTRIES`` (2^17) entries with at most a
 ``_CSR_MAX_DENSITY`` (15%) share nonzero: then it keeps only CSR copies of
@@ -97,10 +97,10 @@ class LinearMap:
         first access of :attr:`norm` by :func:`estimate_norm`, which returns
         a *lower* estimate (a Ritz value) converged to its ``tol``.
     kind : str
-        Construction tag ("dense", "sparse", "identity", "zero",
-        "neg_identity", "custom"); it selects closed-form fast paths (K = I
-        in ADMM, B = -I in the semi-strong w-step), so a map that is not
-        exactly the tagged one must not carry it.
+        Construction tag ("dense", "sparse", "neg_identity", "custom");
+        "neg_identity" (set by :func:`nspd.problems.neg_identity`) selects
+        the closed-form semi-strong w-step, so a map that is not exactly -I
+        must not carry it.
     """
 
     def __init__(self, rows, cols, forward, adjoint, *, norm_estimate=None,
@@ -233,16 +233,6 @@ class LinearMap:
                 kind="sparse")
         m._stored = S
         return m
-
-    @classmethod
-    def identity(cls, n) -> "LinearMap":
-        return cls(n, n, lambda x: x.copy(), lambda y: y.copy(),
-                   norm_estimate=1.0, kind="identity")
-
-    @classmethod
-    def zero(cls, rows, cols) -> "LinearMap":
-        return cls(rows, cols, lambda x: np.zeros(rows), lambda y: np.zeros(cols),
-                   norm_estimate=0.0, kind="zero")
 
     def to_dense(self) -> np.ndarray:
         """Materialize the operator: a copy of its stored matrix, else

@@ -40,7 +40,6 @@ from .problems import CompositeProblem, EqConstrainedProblem, MatrixGame
 __all__ = [
     "Trace",
     "dual_value",
-    "lagrangian",
     "Certificate",
     "certificate_general_primal",
     "certificate_general_fast",
@@ -72,9 +71,9 @@ class Trace:
     """Per-iteration metric records with CSV persistence.
 
     Columns: k, primal value F, dual value G (inf when dual infeasible,
-    nan when no closed form), gap (duality gap when available, else a
-    Lagrangian gap at reference points, else nan), feasibility residual
-    (nan for unconstrained runs), wall time.
+    nan when no closed form), gap (the duality gap F + G: +inf when G is,
+    nan when G is or the run records none), feasibility residual (nan for
+    unconstrained runs), wall time.
     """
 
     def __init__(self):
@@ -139,58 +138,30 @@ def dual_value(problem: CompositeProblem, y) -> float:
     return float(fv + gv)
 
 
-def lagrangian(problem: CompositeProblem, x, y, Kx=None) -> float:
-    """f(x) + <Kx, y> - g*(y), with +/- inf respected for indicators;
-    ``Kx``, when given, is used for K x."""
-    g = problem.g
-    if g.conjugate_value is None:
-        raise UnsupportedMetricError("lagrangian needs a closed form for g*")
-    gv = g.conjugate_value(y)
-    if not np.isfinite(gv):
-        return float("-inf")
-    fv = problem.f.value(np.asarray(x, dtype=float))
-    if not np.isfinite(fv):
-        return float("inf")
-    if Kx is None:
-        Kx = problem.K.apply(x)
-    return float(fv + Kx @ np.asarray(y, dtype=float) - gv)
-
-
 # -- recorders -----------------------------------------------------------------
 
-def composite_recorder(problem: CompositeProblem, trace: Trace,
-                       x_ref=None, y_ref=None):
-    """Record F, G and a gap for a composite run.
+def composite_recorder(problem: CompositeProblem, trace: Trace):
+    """Record F, G and the duality gap F + G for a composite run.
 
-    The gap column holds the duality gap when it is finite, else the
-    Lagrangian gap L(x, y_ref) - L(x_ref, y) when reference points are
-    given, else nan.
+    The gap is +inf when G is (y outside dom g*, or -K^T y outside dom f*),
+    and nan when f or g has no closed-form conjugate.
     """
     f, g, K = problem.f, problem.g, problem.K
     f_conj, g_conj = f.conjugate_value, g.conjugate_value
     have_conj = f_conj is not None and g_conj is not None
-    have_ref = x_ref is not None and y_ref is not None
-    if have_ref:
-        Kx_ref = K.apply(x_ref)
 
     def record(k, x, y, t, Kx=None, Kty=None, **_):
         if Kx is None:
             Kx = K.apply(x)
         F = f.value(x) + g.value(Kx)
         G = gap = math.nan
-        if have_conj and y is not None:
+        if have_conj:
             if Kty is None:
                 G = dual_value(problem, y)
             else:  # G = +inf if f* is: testing it first spares g*
                 fv = f_conj(-Kty)
                 G = float(fv + g_conj(y)) if math.isfinite(fv) else math.inf
             gap = F + G
-        if not math.isfinite(gap) and have_ref:
-            try:
-                gap = (lagrangian(problem, x, y_ref, Kx)
-                       - lagrangian(problem, x_ref, y, Kx_ref))
-            except UnsupportedMetricError:
-                gap = math.nan
         trace.append(k, F, G, gap, math.nan, t)
         return gap
 

@@ -65,8 +65,6 @@ class GeneralSchedule:
             raise ConfigurationError("rho0 and norm_K must be positive")
 
     def tau(self, k: int) -> float:
-        if k < 0:
-            return 1.0  # pinned so all k = 0 correction terms vanish
         return self.c / (k + self.c)
 
     def at(self, k: int):

@@ -23,7 +23,7 @@ ones produced by that elimination, so both forms generate identical iterates
 Kx + Bw = b where only f is strongly convex; the w-subproblem is solved
 rather than linearized: exactly when B is the tagged
 :func:`nspd.problems.neg_identity`, else by the accelerated
-proximal-gradient loop :func:`nspd.prox.apg` to ``StrongOptions.inner_tol``.
+proximal-gradient loop :func:`nspd.prox.apg` to its ``inner_tol``.
 """
 
 from __future__ import annotations
@@ -101,8 +101,6 @@ class StrongSchedule:
                 / ((2.0 * self.c - 1.0) * self.norm_K ** 2))
 
     def tau(self, k: int) -> float:
-        if k < 0:
-            return 1.0  # pinned start
         if self.case == 2:
             return self.c / (k + self.c)
         while len(self._taus) <= k:
@@ -127,8 +125,6 @@ class StrongOptions:
     c: float = 4.0
     max_iters: int = 1000
     trace_every: Union[int, str] = 1
-    inner_tol: float = 1e-10
-    inner_max: int = 500
     enforce_rho0_bound: bool = True
 
 
@@ -276,8 +272,10 @@ def _solve_w_subproblem(problem: SemiStrongProblem, rho, nu0, K_xhat, w_hat,
 
 
 def semistrong_step(state: SemiStrongState, problem: SemiStrongProblem,
-                    sched: StrongSchedule, opts: StrongOptions) -> SemiStrongState:
-    """One iteration of the semi-strongly convex constrained scheme."""
+                    sched: StrongSchedule, *, inner_tol: float = 1e-10,
+                    inner_max: int = 500) -> SemiStrongState:
+    """One iteration of the semi-strongly convex constrained scheme; an
+    inner w-solve stops at ``inner_tol`` within ``inner_max`` steps."""
     k = state.k
     tau, rho, beta, eta = sched.at(k)
     tau_next = sched.tau(k + 1)
@@ -287,7 +285,7 @@ def semistrong_step(state: SemiStrongState, problem: SemiStrongProblem,
     K_xhat = K.apply(state.x_hat)
     w_new = _solve_w_subproblem(problem, rho, nu0, K_xhat, state.w_hat,
                                 state.y_tilde, state.w,
-                                opts.inner_tol, opts.inner_max)
+                                inner_tol, inner_max)
     y_new = state.y_tilde + rho * (K_xhat + B.apply(w_new) - b)
     Kt_y = K.adjoint_apply(y_new)
 
@@ -343,12 +341,17 @@ def solve(problem: CompositeProblem, x0, y0, opts: StrongOptions, recorder=None)
 
 
 def solve_semistrong(problem: SemiStrongProblem, x0, w0, y0,
-                     opts: StrongOptions, recorder=None):
+                     opts: StrongOptions, recorder=None, *,
+                     inner_tol: float = 1e-10, inner_max: int = 500):
     """Run the semi-strongly convex constrained scheme; the recorder gets
-    ``w`` and the constraint residual ``resid = K x + B w - b``."""
+    ``w`` and the constraint residual ``resid = K x + B w - b``.  The inner
+    w-solves take ``inner_tol`` and ``inner_max`` as
+    :func:`semistrong_step` does."""
     sched = _make_schedule(problem.f.mu, problem.K.norm, opts)
     state = init_semistrong_state(problem, x0, w0, y0)
-    state = run(lambda s: semistrong_step(s, problem, sched, opts), state,
+    state = run(lambda s: semistrong_step(s, problem, sched,
+                                          inner_tol=inner_tol,
+                                          inner_max=inner_max), state,
                 opts.max_iters, opts.trace_every, recorder,
                 lambda s: (s.x, s.y_bar, {"w": s.w, "resid": s.resid}))
     return state, sched

@@ -119,8 +119,7 @@ def lad2_runs(lad2):
     runs["alg_case2_fast"] = trace
 
     trace = metrics.Trace()
-    cfg = baselines.BaselineConfig(rho=1.0 / norm_K, mu_f=mu_f,
-                                   max_iters=MAX_ITERS,
+    cfg = baselines.BaselineConfig(rho=1.0 / norm_K, max_iters=MAX_ITERS,
                                    output_mode="last_iterate")
     baselines.solve_cp_scvx(problem, x0, y0, cfg,
                             recorder=metrics.composite_recorder(problem, trace))

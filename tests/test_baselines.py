@@ -6,7 +6,8 @@ import pytest
 from nspd import metrics, prox
 from nspd.baselines import (BaselineConfig, admm_step, cp_scvx_step, cp_step,
                             init_admm_state, init_cp_state, smoothing_iterations,
-                            smoothing_mu, smoothing_solve, solve_admm, solve_cp)
+                            smoothing_mu, smoothing_solve, solve_admm, solve_cp,
+                            solve_cp_scvx)
 from nspd.errors import ConfigurationError, InnerSolverError
 from nspd.linop import LinearMap
 from nspd.problems import CompositeProblem, MatrixGame
@@ -41,7 +42,8 @@ def test_unknown_output_mode_is_refused():
 
 def test_cp_zero_instance_stationary():
     p = n = 2
-    problem = CompositeProblem(prox.zero(p), prox.zero(n), LinearMap.zero(n, p))
+    problem = CompositeProblem(prox.zero(p), prox.zero(n),
+                               LinearMap.from_dense(np.zeros((n, p))))
     state = init_cp_state(problem, np.ones(p), np.zeros(n), 1.0, 1.0)
     for _ in range(4):
         cp_step(state, problem)
@@ -53,7 +55,7 @@ def test_cp_fixed_at_saddle_point():
     # f = 0, g = |.|, K = I: (0, 0) is a saddle point
     p = 2
     problem = CompositeProblem(prox.zero(p), prox.l1_shifted(np.zeros(p)),
-                               LinearMap.identity(p))
+                               LinearMap.from_dense(np.eye(p)))
     state = init_cp_state(problem, np.zeros(p), np.zeros(p), 0.9, 0.9)
     for _ in range(6):
         cp_step(state, problem)
@@ -89,6 +91,13 @@ def test_cp_scvx_with_zero_mu_is_cp_bit_for_bit(rng):
         assert np.array_equal(getattr(s1, name), getattr(s2, name)), name
 
 
+def test_cp_scvx_refuses_an_f_that_is_not_strongly_convex(rng):
+    # the modulus is read from f, so an l1 f (mu = 0) cannot be run
+    with pytest.raises(ConfigurationError, match="f.mu > 0"):
+        solve_cp_scvx(lad_instance(rng), np.zeros(12), np.zeros(30),
+                      BaselineConfig())
+
+
 def test_cp_scvx_step_product_invariant(rng):
     problem = lad_instance(rng, mu=0.5)
     state = init_cp_state(problem, np.zeros(12), np.zeros(30), 0.5, 0.1)
@@ -98,31 +107,14 @@ def test_cp_scvx_step_product_invariant(rng):
         assert state.rho * state.beta == pytest.approx(prod, rel=1e-12)
 
 
-def test_admm_identity_matches_closed_form(rng):
-    # K = I: the x-update is the prox of f at step 1/rho; run the generic
-    # APG path on an equivalent dense-identity instance and compare
-    p = 6
-    f = prox.l1_norm(p, 0.2)
-    g = prox.l1_shifted(rng.standard_normal(p))
-    fast = CompositeProblem(f, g, LinearMap.identity(p))
-    slow = CompositeProblem(f, g, LinearMap.from_dense(np.eye(p)))
-    cfg = BaselineConfig(rho=0.8, inner_tol=1e-12, inner_max=5000)
-    s1 = init_admm_state(fast, np.zeros(p), np.zeros(p), cfg.rho)
-    s2 = init_admm_state(slow, np.zeros(p), np.zeros(p), cfg.rho)
-    for _ in range(30):
-        admm_step(s1, fast, cfg)
-        admm_step(s2, slow, cfg)
-    assert np.linalg.norm(s1.x - s2.x) <= 1e-8
-
-
 @pytest.mark.parametrize("make_K", [
     lambda: LinearMap.from_dense(2.0 * np.eye(3)),
     lambda: LinearMap.from_triplets(3, 3, [0, 1, 2], [0, 1, 2],
                                     np.full(3, 2.0)),
 ], ids=["dense", "sparse"])
 def test_admm_on_scaled_identity_reaches_optimum(make_K):
-    # 0.1||x||_1 + ||2x - b||_1 is minimized at x = b/2; a K = 2I sent down
-    # the K = I closed-form branch would stall at F = 1.31
+    # 0.1||x||_1 + ||2x - b||_1 is minimized at x = b/2; an x-step that
+    # treated K = 2I as the identity would stall at F = 1.31
     b = np.array([1.0, -2.0, 0.5])
     problem = CompositeProblem(prox.l1_norm(3, 0.1), prox.l1_shifted(b),
                                make_K())
@@ -135,7 +127,8 @@ def test_admm_on_scaled_identity_reaches_optimum(make_K):
 
 def test_admm_zero_instance_stationary():
     p = 2
-    problem = CompositeProblem(prox.zero(p), prox.zero(p), LinearMap.zero(p, p))
+    problem = CompositeProblem(prox.zero(p), prox.zero(p),
+                               LinearMap.from_dense(np.zeros((p, p))))
     cfg = BaselineConfig(rho=1.0)
     state = init_admm_state(problem, np.ones(p), np.zeros(p), cfg.rho)
     for _ in range(3):

@@ -100,7 +100,13 @@ def test_cli_run_refuses_a_bad_option_as_a_usage_error(option, quantity,
 @pytest.mark.parametrize("problem, solver, named", [
     ({"kind": "foo"}, {"method": "pd_general"}, "unknown problem kind 'foo'"),
     ({"kind": "lad"}, {"method": "bogus"}, "unknown method 'bogus'"),
-    ({"kind": "lad", "size": 3}, {"method": "pd_general"}, "'size'")])
+    ({"kind": "lad", "size": 3}, {"method": "pd_general"}, "'size'"),
+    # the modulus is f's, and pd_strong.solve has no inner solve
+    ({"kind": "lad"}, {"method": "cp_scvx", "mu_f": 0.1}, "'mu_f'"),
+    ({"kind": "lad"}, {"method": "pd_strong", "inner_tol": 1e-8},
+     "'inner_tol'"),
+    ({"kind": "lad"}, {"method": "pd_strong", "inner_max": 10},
+     "'inner_max'")])
 def test_cli_solve_refuses_a_bad_config_as_a_usage_error(problem, solver, named,
                                                         tmp_path, capsys):
     _assert_usage_error({"problem": problem, "solver": solver}, named,

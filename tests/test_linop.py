@@ -15,18 +15,6 @@ from nspd.errors import DimensionMismatchError
 from nspd.linop import LinearMap, estimate_norm, load_triplets, save_triplets
 
 
-def test_identity_apply():
-    op = LinearMap.identity(3)
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(op.apply(x), x)
-    assert np.array_equal(op.adjoint_apply(x), x)
-
-
-def test_zero_map():
-    op = LinearMap.zero(4, 2)
-    assert np.array_equal(op.apply(np.array([5.0, -1.0])), np.zeros(4))
-
-
 def test_dense_apply_hand_value():
     op = LinearMap.from_dense([[1.0, 2.0], [3.0, 4.0]])
     assert np.allclose(op.apply(np.array([1.0, 1.0])), [3.0, 7.0])
@@ -182,7 +170,7 @@ def test_dense_and_small_arrays_keep_blas(rng):
 
 
 def test_norm_identity():
-    est = estimate_norm(LinearMap.identity(6))
+    est = estimate_norm(LinearMap.from_dense(np.eye(6)))
     assert est.converged
     assert abs(est.value - 1.0) <= 1e-8
 
@@ -209,7 +197,7 @@ def test_norm_deterministic_under_seed(rng):
 
 
 def test_norm_zero_map():
-    assert estimate_norm(LinearMap.zero(3, 3)).value == 0.0
+    assert estimate_norm(LinearMap.from_dense(np.zeros((3, 3)))).value == 0.0
 
 
 def test_norm_nonconvergence_warns(rng):
@@ -327,7 +315,7 @@ def test_triplet_bytes_match_original_writer(tmp_path, monkeypatch, kind,
 
 def test_triplet_empty_and_truncated(tmp_path):
     path = tmp_path / "m.txt"
-    save_triplets(path, LinearMap.zero(2, 3))
+    save_triplets(path, LinearMap.from_dense(np.zeros((2, 3))))
     assert path.read_text() == "2 3 0\n"
     assert np.array_equal(load_triplets(path).to_dense(), np.zeros((2, 3)))
     path.write_text("2 2 3\n0 0 1.0\n1 1 2.0\n")

@@ -20,7 +20,7 @@ from nspd.metrics import (Certificate, Trace,
                           certificate_constrained, certificate_general_fast,
                           certificate_general_primal, certificate_semistrong,
                           certificate_strong_fast, certificate_strong_primal,
-                          lagrangian, rate_slope)
+                          rate_slope)
 from nspd.problems import CompositeProblem, EqConstrainedProblem, MatrixGame
 from oracle_lp import game_gap
 
@@ -32,53 +32,10 @@ def lad_instance(rng, n=10, p=4, lam=0.3):
                             LinearMap.from_dense(A))
 
 
-# -- Lagrangian and gaps ---------------------------------------------------------
-
-def test_lagrangian_matrix_game_reduces_to_bilinear(rng):
-    K = LinearMap.from_dense(rng.uniform(-1, 1, (5, 7)))
-    game = MatrixGame(K)
-    problem = game.to_composite()
-    x = rng.dirichlet(np.ones(7))
-    y = rng.dirichlet(np.ones(5))
-    assert lagrangian(problem, x, y) == pytest.approx(float(K.apply(x) @ y))
-
-
-def test_lagrangian_lad_hand_form(rng):
-    problem = lad_instance(rng)
-    b = problem.g.shift
-    x = rng.standard_normal(4)
-    y_feas = rng.uniform(-1, 1, 10)
-    expected = (problem.f.value(x) + problem.K.apply(x) @ y_feas
-                - b @ y_feas)
-    assert lagrangian(problem, x, y_feas) == pytest.approx(expected)
-    y_bad = np.full(10, 1.5)
-    assert lagrangian(problem, x, y_bad) == -np.inf
-
-
-def test_lagrangian_needs_conjugate(rng):
-    K = LinearMap.identity(3)
-    problem = CompositeProblem(prox.zero(3), prox.quadratic(np.eye(3)), K)
-    with pytest.raises(UnsupportedMetricError):
-        lagrangian(problem, np.zeros(3), np.zeros(3))
-
-
-def test_saddle_inequalities_at_origin(rng):
-    # f = |.|_1 with lam=1, g shifted by 0, K = I: (0, 0) is a saddle point
-    problem = CompositeProblem(prox.l1_norm(2, 1.0),
-                               prox.l1_shifted(np.zeros(2)),
-                               LinearMap.identity(2))
-    x_s = np.zeros(2)
-    y_s = np.zeros(2)
-    L_ss = lagrangian(problem, x_s, y_s)
-    for _ in range(50):
-        x = rng.standard_normal(2)
-        y = rng.uniform(-1, 1, 2)
-        assert lagrangian(problem, x_s, y) <= L_ss + 1e-12
-        assert lagrangian(problem, x, y_s) >= L_ss - 1e-12
-
+# -- gaps ---------------------------------------------------------------------------
 
 def test_game_gap_zero_matrix():
-    game = MatrixGame(LinearMap.zero(3, 4))
+    game = MatrixGame(LinearMap.from_dense(np.zeros((3, 4))))
     assert game_gap(game, np.full(4, 0.25), np.full(3, 1 / 3)) == 0.0
 
 
@@ -118,7 +75,7 @@ def test_game_gap_at_grid_equilibrium(rng):
 
 
 def test_game_gap_rejects_off_simplex(rng):
-    game = MatrixGame(LinearMap.zero(3, 3))
+    game = MatrixGame(LinearMap.from_dense(np.zeros((3, 3))))
     with pytest.raises(UnsupportedMetricError):
         game_gap(game, np.array([0.5, 0.5, 0.1]), np.full(3, 1 / 3))
 
@@ -437,6 +394,7 @@ def test_recorder_skips_g_conjugate_when_f_conjugate_is_infinite(rng):
     assert trace.G == [math.inf] and calls == []
     record(2, x, y, 0.0)  # no K^T y handed over: g* first
     assert trace.G == [math.inf, math.inf] and calls == [1]
+    assert trace.gap == [math.inf, math.inf]
 
 
 def test_import_nspd_leaves_scipy_optimize_and_sparse_out():

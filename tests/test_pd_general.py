@@ -79,7 +79,8 @@ def test_zero_instance_is_stationary():
     # no coupling, no objective: x never moves and y stays at the dual
     # solution 0 (g = 0 pins the dual prox at the origin)
     p = n = 3
-    problem = CompositeProblem(prox.zero(p), prox.zero(n), LinearMap.zero(n, p))
+    problem = CompositeProblem(prox.zero(p), prox.zero(n),
+                               LinearMap.from_dense(np.zeros((n, p))))
     sched = GeneralSchedule(c=1.0, gamma=0.5, rho0=1.0, norm_K=1.0)
     st_m = init_state(problem, np.ones(p), np.zeros(n))
     st_s = init_split_state(problem, np.ones(p), np.zeros(n))
@@ -96,7 +97,7 @@ def test_zero_start_at_saddle_point_stays():
     # f = 0, g = ||.||_1, K = I: the origin is a saddle point
     p = 2
     problem = CompositeProblem(prox.zero(p), prox.l1_shifted(np.zeros(p)),
-                               LinearMap.identity(p))
+                               LinearMap.from_dense(np.eye(p)))
     sched = GeneralSchedule(c=1.0, gamma=0.5, rho0=1.0, norm_K=1.0)
     st_m = init_state(problem, np.zeros(p), np.zeros(p))
     step(st_m, problem, sched)
@@ -106,7 +107,8 @@ def test_zero_start_at_saddle_point_stays():
 
 def test_divergence_raises_with_iteration_index():
     p = 2
-    problem = CompositeProblem(prox.zero(p), prox.zero(p), LinearMap.identity(p))
+    problem = CompositeProblem(prox.zero(p), prox.zero(p),
+                               LinearMap.from_dense(np.eye(p)))
     sched = GeneralSchedule(c=1.0, gamma=0.5, rho0=1.0, norm_K=1.0)
     state = init_state(problem, np.array([1.0, np.nan]), np.zeros(p))
     with pytest.raises(DivergenceError) as err:
@@ -310,7 +312,7 @@ def test_merged_step_matches_the_dedicated_constrained_update():
 
 
 def test_constrained_requires_gradient():
-    K = LinearMap.identity(2)
+    K = LinearMap.from_dense(np.eye(2))
     with pytest.raises(ConfigurationError):
         EqConstrainedProblem(prox.zero(2), prox.l1_norm(2, 1.0), K, np.zeros(2))
 

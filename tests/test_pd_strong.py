@@ -6,7 +6,7 @@ import pytest
 from nspd import pd_general, pd_strong, prox
 from nspd.errors import ConfigurationError, InnerSolverError
 from nspd.linop import LinearMap
-from nspd.pd_strong import (StrongOptions, StrongSchedule, init_semistrong_state,
+from nspd.pd_strong import (StrongSchedule, init_semistrong_state,
                             init_split_state, init_state, semistrong_step,
                             split_step, step)
 from nspd.problems import CompositeProblem, SemiStrongProblem, neg_identity
@@ -89,7 +89,7 @@ def test_decoupled_quadratic_contracts_to_zero():
     # f = (mu/2)||x||^2, g = 0, K = 0: x_tilde follows a pure prox descent
     p = n = 3
     problem = CompositeProblem(prox.squared_l2(p, 1.0), prox.zero(n),
-                               LinearMap.zero(n, p))
+                               LinearMap.from_dense(np.zeros((n, p))))
     sched = StrongSchedule(1, 0.75, mu_f=1.0, norm_K=1.0)
     state = init_state(problem, np.ones(p), np.zeros(n))
     norms = [np.linalg.norm(state.x_tilde)]
@@ -202,7 +202,7 @@ def test_w_subproblem_closed_form_zero_psi(rng):
     state = init_semistrong_state(problem, np.zeros(p), np.zeros(n), np.zeros(n))
     K_xhat = K.apply(state.x_hat)
     expected_w = K_xhat - problem.b + state.y_tilde / sched.at(0)[1]
-    semistrong_step(state, problem, sched, StrongOptions())
+    semistrong_step(state, problem, sched)
     assert np.allclose(state.w, expected_w, atol=1e-12)
 
 
@@ -220,8 +220,8 @@ def test_w_subproblem_apg_matches_closed_form(rng):
     s1 = init_semistrong_state(closed, np.zeros(p), np.zeros(q), np.zeros(n))
     s2 = init_semistrong_state(general, np.zeros(p), np.zeros(q), np.zeros(n))
     for _ in range(20):
-        semistrong_step(s1, closed, sched, StrongOptions())
-        semistrong_step(s2, general, sched, StrongOptions())
+        semistrong_step(s1, closed, sched)
+        semistrong_step(s2, general, sched)
     assert np.linalg.norm(s1.w - s2.w) <= 1e-7
     assert np.linalg.norm(s1.x - s2.x) <= 1e-7
 
@@ -248,8 +248,7 @@ def test_w_subproblem_apg_matches_a_linear_solve(rng):
     rhs = nu0 * w0 - Bm.T @ y0 - rho * Bm.T @ (K.apply(x0) - b)
     w_star = np.linalg.solve(A, rhs)
     state = init_semistrong_state(problem, x0, w0, y0)
-    semistrong_step(state, problem, sched,
-                    StrongOptions(inner_tol=1e-12, inner_max=20_000))
+    semistrong_step(state, problem, sched, inner_tol=1e-12, inner_max=20_000)
     assert np.linalg.norm(state.w - w_star) <= 1e-9 * np.linalg.norm(w_star)
 
 
@@ -274,7 +273,7 @@ def test_semistrong_step_reuses_the_residual(rng):
                                   np.zeros(12))
     calls.update(fwd=0, adj=0)
     for _ in range(10):
-        semistrong_step(state, problem, sched, StrongOptions())
+        semistrong_step(state, problem, sched)
         # the carried residual is the one a fresh evaluation gives
         assert np.array_equal(state.resid,
                               K.apply(state.x) + problem.B.apply(state.w)
@@ -291,7 +290,7 @@ def test_w_subproblem_apg_that_runs_out_of_steps_raises(rng):
     state = init_semistrong_state(general, np.zeros(5), np.zeros(3),
                                   np.zeros(4))
     with pytest.raises(InnerSolverError, match="w-subproblem APG"):
-        semistrong_step(state, general, sched, StrongOptions(inner_max=1))
+        semistrong_step(state, general, sched, inner_max=1)
 
 
 def test_semistrong_feasible_saddle_is_nearly_fixed(rng):
@@ -303,20 +302,19 @@ def test_semistrong_feasible_saddle_is_nearly_fixed(rng):
     sched = StrongSchedule(1, 0.75, mu_f=0.4, norm_K=K.norm)
     state = init_semistrong_state(problem, np.zeros(p), np.zeros(n), np.zeros(n))
     for _ in range(50):
-        semistrong_step(state, problem, sched, StrongOptions())
+        semistrong_step(state, problem, sched)
     assert np.linalg.norm(state.x) <= 1e-9
     assert problem.feasibility(state.x, state.w) <= 1e-9
 
 
 def test_semistrong_feasibility_decays_like_k2(rng):
     problem = semistrong_instance(rng)
-    opts = StrongOptions(case=1, gamma=0.75, max_iters=5000)
     sched = StrongSchedule(1, 0.75, mu_f=problem.f.mu, norm_K=problem.K.norm)
     state = init_semistrong_state(problem, np.zeros(18), np.zeros(12),
                                   np.zeros(12))
     ks, feas = [], []
     for k in range(1, 5001):
-        semistrong_step(state, problem, sched, opts)
+        semistrong_step(state, problem, sched)
         if k >= 50 and k % 10 == 0:
             ks.append(k)
             feas.append(problem.feasibility(state.x, state.w))
