@@ -241,8 +241,9 @@ def solver(method: str, options: dict, inst: Instance):
 
 @dataclass(frozen=True)
 class _Row:
-    """One variant: ``solve(recorder)`` runs it; ``certificate()``, when
-    given, evaluates the bound its trace is checked against."""
+    """One variant: ``solve(recorder)`` runs it; ``certificate(sched)``,
+    when given, evaluates the bound its trace is checked against from the
+    schedule the solve returned."""
 
     label: str
     solve: Callable
@@ -284,13 +285,13 @@ def _lad_case1(spec) -> _Experiment:
         return [
             _Row("pd_general_c1",
                  solver("pd_general", dict(general, c=1.0), inst),
-                 lambda: metrics.certificate_general_primal(
-                     x0, y0, ref.x, M_g, rho0, gamma, norm_K)),
+                 lambda sched: metrics.certificate_general_primal(
+                     x0, y0, ref.x, M_g, sched.rho0, sched.gamma, norm_K)),
             _Row("pd_general_c2",
                  solver("pd_general", dict(general, c=2.0), inst),
-                 lambda: metrics.certificate_general_fast(
-                     2.0, inst.problem.primal_value(x0) - ref.F, x0, y0,
-                     ref.x, ref.y, M_g, rho0, gamma, norm_K)),
+                 lambda sched: metrics.certificate_general_fast(
+                     sched.c, inst.problem.primal_value(x0) - ref.F, x0, y0,
+                     ref.x, ref.y, M_g, sched.rho0, sched.gamma, norm_K)),
             *(_Row(f"cp_rho{s:g}", solver("cp", dict(
                 it, rho=s * rho0, beta=gamma / (norm_K ** 2 * s * rho0)),
                 inst)) for s in (0.1, 1.0, 10.0)),
@@ -318,19 +319,17 @@ def _lad_case2(spec) -> _Experiment:
         return [
             _Row("pd_strong_case1",
                  solver("pd_strong", dict(case1, rho0=rho0_1), inst),
-                 lambda: metrics.certificate_strong_primal(
-                     x0, y0, ref.x, M_g, rho0_1, gamma1, norm_K)),
+                 lambda sched: metrics.certificate_strong_primal(
+                     x0, y0, ref.x, M_g, sched.rho0, sched.gamma, norm_K)),
             _Row("pd_strong_case1_rho5x",
                  solver("pd_strong", dict(case1, rho0=5.0 * rho0_1,
                                           enforce_rho0_bound=False), inst)),
             _Row("pd_strong_case2_c4",
                  solver("pd_strong", dict(it, case=2, gamma=0.75, c=4.0),
                         inst),
-                 lambda: metrics.certificate_strong_fast(
-                     4.0, inst.problem.primal_value(x0) - ref.F, x0, y0,
-                     ref.x, ref.y, M_g, pd_strong.StrongSchedule(
-                         2, 0.75, mu_f, norm_K, c=4.0).rho0,
-                     0.75, mu_f, norm_K)),
+                 lambda sched: metrics.certificate_strong_fast(
+                     sched.c, inst.problem.primal_value(x0) - ref.F, x0, y0,
+                     ref.x, ref.y, M_g, sched.rho0, sched.gamma, mu_f, norm_K)),
             *(_Row(f"cp_scvx_rho{s:g}", solver("cp_scvx", dict(
                 it, rho=s * rho_cp), inst))
               for s in (0.01, 0.75, 1.0, 5.0)),
@@ -348,16 +347,16 @@ def _game(spec) -> _Experiment:
         p, n = game.p, game.n
         gamma, rho0 = 0.5, 1.0 / norm_K
 
-        def gap_certificate():
+        def gap_certificate(sched):
             # sup of ||x0 - x||^2 over the simplex from the uniform start
             # is attained at a vertex: 1 - 1/p
             dx_sup2 = 1.0 - 1.0 / p
             dy_sup2 = 1.0 - 1.0 / n
-            const = (rho0 * norm_K ** 2 * dx_sup2 / gamma
-                     + dy_sup2 / ((1.0 - gamma) * rho0))
-            return metrics.Certificate("general_gap_simplex", const, 1,
-                                       lambda k: 1.0 / (2.0 * k), "1/(2k)",
-                                       "exact", {"rho0": rho0, "gamma": gamma})
+            const = (sched.rho0 * norm_K ** 2 * dx_sup2 / sched.gamma
+                     + dy_sup2 / ((1.0 - sched.gamma) * sched.rho0))
+            return metrics.Certificate(
+                "general_gap_simplex", const, 1, lambda k: 1.0 / (2.0 * k),
+                "1/(2k)", "exact", {"rho0": sched.rho0, "gamma": sched.gamma})
 
         def smoothing(mu_scale):
             return lambda recorder: baselines.smoothing_solve(
@@ -425,9 +424,9 @@ def _run_rows(spec: ExperimentSpec, exp: _Experiment) -> dict:
         trace = metrics.Trace()
         recorder = inst.recorder(trace)
         t0 = time.perf_counter()
-        err = None
+        err = solved = None
         try:
-            row.solve(recorder)
+            solved = row.solve(recorder)
         except Exception as exc:  # a failing row must not abort the rest
             err = f"{type(exc).__name__}: {exc}"
         trace.to_csv(out(f"trace_{row.label}.csv"))
@@ -435,7 +434,7 @@ def _run_rows(spec: ExperimentSpec, exp: _Experiment) -> dict:
         values = trace.column(exp.column) - offset
         cert = ok = None
         if row.certificate is not None and err is None:
-            cert = row.certificate()
+            cert = row.certificate(solved[1])
             ok = cert.check(trace.k, values)[0]
             certs.append(cert)
         failed |= row.certificate is not None and ok is not True

@@ -5,11 +5,13 @@
     nspd solve --config FILE
     nspd plotdata TRACE.csv
 
-Exit codes: 0 success, 2 with ``run --check`` when a certificate is violated
-or a certified variant failed to run, 3 oracle failure (``run``), 4
-divergence: a non-finite iterate (``solve``), 5 an inner subproblem solver
-that missed its tolerance (``solve``).  ``solve`` writes the trace recorded
-so far before it exits with 4 or 5.
+Exit codes: 0 success, 2 a usage error (an option ``run`` refuses, or a
+config ``solve`` refuses, at build time or as its solve starts) and with
+``run --check`` a violated certificate or a certified variant that failed to
+run, 3 oracle failure (``run``), 4 divergence: a non-finite iterate
+(``solve``), 5 an inner subproblem solver that missed its tolerance
+(``solve``).  ``solve`` writes the trace recorded so far before it exits with
+4 or 5, and no trace when it exits with 2.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 import numpy as np
 
 from . import bench, metrics
-from .errors import DivergenceError, InnerSolverError
+from .errors import ConfigurationError, DivergenceError, InnerSolverError
 
 
 def _cmd_run(args) -> int:
@@ -70,6 +72,8 @@ def _cmd_solve(args) -> int:
     trace = metrics.Trace()
     try:
         solve(inst.recorder(trace))
+    except ConfigurationError as exc:  # refused before the first step
+        args.parser.error(str(exc))
     except (DivergenceError, InnerSolverError) as exc:
         code, what = ((4, "divergence") if isinstance(exc, DivergenceError)
                       else (5, "inner solver failure"))

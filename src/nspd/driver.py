@@ -53,11 +53,8 @@ def run(advance, state, max_iters, trace_every, recorder, output, tol=None):
     ``t`` being the seconds since the loop started; a recorded value at or
     below ``tol`` stops the run.
     """
-    if recorder is None:
-        for _ in range(max_iters):
-            state = advance(state)
-        return state
-    recorded = record_cadence(max_iters, trace_every)
+    recorded = ((lambda k: False) if recorder is None
+                else record_cadence(max_iters, trace_every))
     t0 = time.perf_counter()
     for _ in range(max_iters):
         state = advance(state)

@@ -101,6 +101,9 @@ class LinearMap:
         "neg_identity" (set by :func:`nspd.problems.neg_identity`) selects
         the closed-form semi-strong w-step, so a map that is not exactly -I
         must not carry it.
+
+    The solvers use K only through :meth:`apply` and :meth:`adjoint_apply`;
+    :attr:`matrix` is the one way to read K as an array.
     """
 
     def __init__(self, rows, cols, forward, adjoint, *, norm_estimate=None,
@@ -113,26 +116,20 @@ class LinearMap:
         self._adjoint = adjoint
         self._norm = None if norm_estimate is None else float(norm_estimate)
         self.kind = kind
-        # the matrix as kept (an ndarray or a scipy CSR matrix), and whether
-        # ``matrix`` shows a CSR-kept one as an ndarray
-        self._stored = None
-        self._shown_dense = False
+        self._stored = None  # the matrix kept, if any: ndarray or scipy CSR
 
     @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    @property
-    def matrix(self):
-        """The operator's matrix: a read-only ndarray for a dense map (a new
-        one rebuilt from the CSR copy on each access when the map keeps only
-        that), the CSR matrix for a sparse one, None for a map of callables.
-        """
-        if self._shown_dense:
-            A = self._stored.toarray()
-            A.setflags(write=False)
+    def matrix(self) -> np.ndarray:
+        """The operator's matrix as a read-only ndarray: the array a dense
+        map keeps, else a new one built on each access, from the CSR copy
+        of a CSR-kept map or column by column for a map of callables."""
+        A = self._stored
+        if isinstance(A, np.ndarray):
             return A
-        return self._stored
+        A = (np.stack([self.apply(e) for e in np.eye(self.cols)], axis=1)
+             if A is None else A.toarray())
+        A.setflags(write=False)
+        return A
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return K x."""
@@ -214,7 +211,7 @@ class LinearMap:
             stored = S
         m = cls(stored.shape[0], stored.shape[1], forward, adjoint,
                 norm_estimate=norm_estimate, kind="dense")
-        m._stored, m._shown_dense = stored, csr is not None
+        m._stored = stored
         return m
 
     @classmethod
@@ -233,15 +230,6 @@ class LinearMap:
                 kind="sparse")
         m._stored = S
         return m
-
-    def to_dense(self) -> np.ndarray:
-        """Materialize the operator: a copy of its stored matrix, else
-        column by column."""
-        A = self._stored
-        if A is not None:
-            return np.array(A) if isinstance(A, np.ndarray) else A.toarray()
-        cols = [self.apply(e) for e in np.eye(self.cols)]
-        return np.stack(cols, axis=1)
 
 
 def estimate_norm(op: LinearMap, tol: float = 1e-12, max_iters: int = 10_000,
@@ -298,9 +286,7 @@ _WRITE_BLOCK = 1 << 16  # lines formatted and written at a time
 def save_triplets(path, op: LinearMap) -> None:
     """Write ``op`` in the triplet text format: `n p nnz` then `i j value`,
     one line per nonzero in row-major order."""
-    A = op._stored
-    if A is None:
-        A = op.to_dense()
+    A = op.matrix if op._stored is None else op._stored
     if not isinstance(A, np.ndarray):  # a scipy sparse matrix
         C = A.tocoo(copy=True)
         C.sum_duplicates()  # canonical: row-major, one entry per position

@@ -586,7 +586,7 @@ def reference_solution(problem: CompositeProblem | EqConstrainedProblem
         return abs(obj(x) + dual_value(problem, y))
 
     t0 = time.perf_counter()
-    x, y = arm(K.to_dense(), f, g, gap)
+    x, y = arm(K.matrix, f, g, gap)
     exact_s = time.perf_counter() - t0
     F = float(obj(x))
     Kx = K.apply(x)

@@ -234,7 +234,6 @@ class SemiStrongState:
     x_hat: np.ndarray
     w: np.ndarray
     w_hat: np.ndarray
-    y: np.ndarray
     y_tilde: np.ndarray
     y_bar: np.ndarray
     resid: np.ndarray
@@ -247,8 +246,7 @@ def init_semistrong_state(problem: SemiStrongProblem, x0, w0, y0) -> SemiStrongS
     resid0 = problem.K.apply(x0) + problem.B.apply(w0) - problem.b
     return SemiStrongState(k=0, x=x0.copy(), x_tilde=x0.copy(),
                            x_hat=x0.copy(), w=w0.copy(), w_hat=w0.copy(),
-                           y=y0.copy(), y_tilde=y0.copy(), y_bar=y0.copy(),
-                           resid=resid0)
+                           y_tilde=y0.copy(), y_bar=y0.copy(), resid=resid0)
 
 
 def _solve_w_subproblem(problem: SemiStrongProblem, rho, nu0, K_xhat, w_hat,
@@ -309,7 +307,6 @@ def semistrong_step(state: SemiStrongState, problem: SemiStrongProblem,
     state.x_hat = x_hat_new
     state.w = w_new
     state.w_hat = w_hat_new
-    state.y = y_new
     state.y_tilde = y_tilde_new
     state.y_bar = y_bar_new
     state.resid = resid_new
@@ -320,8 +317,6 @@ def semistrong_step(state: SemiStrongState, problem: SemiStrongProblem,
 # -- drivers -----------------------------------------------------------------
 
 def _make_schedule(problem_mu, norm_K, opts: StrongOptions) -> StrongSchedule:
-    if problem_mu <= 0:
-        raise ConfigurationError("the strongly convex method needs f.mu > 0")
     return StrongSchedule(case=opts.case, gamma=opts.gamma, mu_f=problem_mu,
                           norm_K=norm_K, rho0=opts.rho0, c=opts.c,
                           enforce_rho0_bound=opts.enforce_rho0_bound)

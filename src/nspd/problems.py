@@ -102,10 +102,6 @@ class SemiStrongProblem:
         if self.psi.dim != self.B.cols:
             raise ConfigurationError("psi and B disagree on the w dimension")
 
-    @property
-    def q(self):
-        return self.B.cols
-
     def resolved_nu0(self) -> float:
         if self.nu0 is not None:
             return float(self.nu0)

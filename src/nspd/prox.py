@@ -52,9 +52,10 @@ class ProxFunction:
     ``conj_prox(v, rho)``, when set, returns ``prox_{rho h*}(v)`` in closed
     form for :func:`conjugate_prox`; it must agree with ``prox`` through the
     Moreau decomposition, so a replaced ``prox`` must compute the same map.
-    Each constructor sets ``kind`` and the read-only ``params``; ``name``
-    (the kind, then any scalar parameters) and ``shift`` (``params["b"]``,
-    the anchor of a shifted function) are read from them.
+    Each constructor sets ``kind``, which names the function, and the
+    read-only ``params``; ``scalar_params`` (the scalar entries, as
+    ``report.json`` lists them) and ``shift`` (``params["b"]``, the anchor
+    of a shifted function) are read from them.
     """
 
     dim: int
@@ -75,11 +76,6 @@ class ProxFunction:
     @property
     def scalar_params(self) -> dict:
         return {k: v for k, v in self.params.items() if np.isscalar(v)}
-
-    @property
-    def name(self) -> str:
-        scalars = ",".join(f"{k}={v}" for k, v in self.scalar_params.items())
-        return f"{self.kind}({scalars})" if scalars else self.kind
 
     @property
     def shift(self) -> Optional[np.ndarray]:

@@ -367,7 +367,7 @@ def semistrong_setup():
 
 def test_criterion_8_semistrong_certificate(semistrong_setup):
     problem, ref, w_star = semistrong_setup
-    p, q, n = problem.K.cols, problem.q, problem.K.rows
+    p, q, n = problem.K.cols, problem.B.cols, problem.K.rows
     x0 = np.zeros(p)
     w0 = np.zeros(q)
     y0 = np.zeros(n)
@@ -404,7 +404,7 @@ def test_criterion_9_smoothing_iteration_counts():
 def test_criterion_10_oracle_sanity():
     problem, _ = bench.gen_lad(bench.LadConfig(n=6, p=3, s=2, seed=11))
     ref = metrics.reference_solution(problem)
-    F_lp, _ = lad_optimum_by_vertex_enumeration(problem.K.to_dense(),
+    F_lp, _ = lad_optimum_by_vertex_enumeration(problem.K.matrix,
                                                 problem.g.shift, 0.05)
     lad_ok = abs(ref.F - F_lp) <= 1e-9
 

@@ -26,7 +26,7 @@ def test_lad_paper_scale_dimensions():
 def test_gen_lad_deterministic_under_seed():
     a1, x1 = gen_lad(LadConfig(n=30, p=10, s=3, seed=5))
     a2, x2 = gen_lad(LadConfig(n=30, p=10, s=3, seed=5))
-    assert np.array_equal(a1.K.to_dense(), a2.K.to_dense())
+    assert np.array_equal(a1.K.matrix, a2.K.matrix)
     assert np.array_equal(x1, x2)
     assert np.array_equal(a1.g.shift, a2.g.shift)
     a3, x3 = gen_lad(LadConfig(n=30, p=10, s=3, seed=6))
@@ -36,12 +36,12 @@ def test_gen_lad_deterministic_under_seed():
 def test_gen_lad_structure():
     cfg = LadConfig(n=40, p=12, s=4, seed=1)
     problem, x_true = gen_lad(cfg)
-    assert problem.K.shape == (40, 12)
+    assert (problem.K.rows, problem.K.cols) == (40, 12)
     assert int(np.count_nonzero(x_true)) == 4
     # b = K x_true + sparse noise
     resid = problem.g.shift - problem.K.apply(x_true)
     assert np.count_nonzero(resid) <= 0.35 * 40
-    assert problem.f.name.startswith("l1")
+    assert problem.f.kind == "l1"
 
 
 def test_gen_lad_elastic_when_mu_positive():
@@ -53,8 +53,8 @@ def test_gen_lad_correlated_columns_keep_norms():
     cfg = LadConfig(n=60, p=16, s=4, correlated_fraction=0.5, seed=2)
     base, _ = gen_lad(LadConfig(n=60, p=16, s=4, seed=2))
     mixed, _ = gen_lad(cfg)
-    A0 = base.K.to_dense()
-    A1 = mixed.K.to_dense()
+    A0 = base.K.matrix
+    A1 = mixed.K.matrix
     assert not np.array_equal(A0, A1)
     assert np.allclose(np.linalg.norm(A0, axis=0), np.linalg.norm(A1, axis=0))
     # mixed trailing columns correlate with their left neighbor
@@ -67,7 +67,7 @@ def test_gen_game_unit_norm():
     game = gen_game(GameConfig(n=30, p=50, density=0.1, seed=4))
     est = estimate_norm(game.K, tol=1e-14, max_iters=50_000, seed=1)
     assert abs(est.value - 1.0) <= 1e-8
-    A = game.K.to_dense()
+    A = game.K.matrix
     density = np.count_nonzero(A) / A.size
     assert 0.05 <= density <= 0.15
 
@@ -75,7 +75,7 @@ def test_gen_game_unit_norm():
 def test_gen_game_deterministic():
     g1 = gen_game(GameConfig(n=20, p=25, seed=9))
     g2 = gen_game(GameConfig(n=20, p=25, seed=9))
-    assert np.array_equal(g1.K.to_dense(), g2.K.to_dense())
+    assert np.array_equal(g1.K.matrix, g2.K.matrix)
 
 
 def _two_buffer_game_matrix(cfg):
@@ -143,7 +143,7 @@ def test_game_experiment_writes_artifacts(tmp_path):
     assert (tmp_path / "instance_K.txt").exists()
     assert not (tmp_path / "instance_b.csv").exists()  # g has no shift
     K = load_triplets(tmp_path / "instance_K.txt")
-    assert K.shape == (12, 16)
+    assert (K.rows, K.cols) == (12, 16)
     trace_files = sorted(p.name for p in tmp_path.glob("trace_*.csv"))
     assert len(trace_files) == 5
     tr = metrics.Trace.from_csv(tmp_path / trace_files[0])

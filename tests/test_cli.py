@@ -97,6 +97,9 @@ def test_cli_run_refuses_a_bad_option_as_a_usage_error(option, quantity,
     assert "Traceback" not in err and not (tmp_path / "report.json").exists()
 
 
+_SMALL_LAD = {"kind": "lad", "n": 15, "p": 6, "s": 2, "seed": 4}
+
+
 @pytest.mark.parametrize("problem, solver, named", [
     ({"kind": "foo"}, {"method": "pd_general"}, "unknown problem kind 'foo'"),
     ({"kind": "lad"}, {"method": "bogus"}, "unknown method 'bogus'"),
@@ -106,7 +109,13 @@ def test_cli_run_refuses_a_bad_option_as_a_usage_error(option, quantity,
     ({"kind": "lad"}, {"method": "pd_strong", "inner_tol": 1e-8},
      "'inner_tol'"),
     ({"kind": "lad"}, {"method": "pd_strong", "inner_max": 10},
-     "'inner_max'")])
+     "'inner_max'"),
+    # refused as the solve starts, before its first step
+    (_SMALL_LAD, {"method": "pd_general", "c": 0.5}, "c must satisfy c >= 1"),
+    (_SMALL_LAD, {"method": "pd_strong"}, "mu_f must be positive"),
+    (_SMALL_LAD, {"method": "cp", "rho": 1.0, "beta": 10.0},
+     "rho*beta*||K||^2 = 319.256 exceeds 1"),
+    (_SMALL_LAD, {"method": "cp_scvx"}, "needs f.mu > 0")])
 def test_cli_solve_refuses_a_bad_config_as_a_usage_error(problem, solver, named,
                                                         tmp_path, capsys):
     _assert_usage_error({"problem": problem, "solver": solver}, named,

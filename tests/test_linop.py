@@ -114,13 +114,13 @@ def test_csr_backed_map_keeps_no_dense_copy():
         op = LinearMap.from_dense(A)
         kept, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        D = op.to_dense()
+        D = op.matrix
         dense_peak = tracemalloc.get_traced_memory()[1] - kept
     finally:
         tracemalloc.stop()
     # the CSR pair of 10% nonzeros: 2 x 12 bytes per nonzero, ~0.3 A.nbytes
     assert kept < A.nbytes / 2
-    # to_dense builds one array, no more
+    # matrix builds one array, no more
     assert dense_peak < 1.5 * A.nbytes
     assert np.array_equal(op.matrix, A) and np.array_equal(D, A)
 
@@ -280,7 +280,7 @@ def test_norm_game_shaped_converges_in_few_matvecs():
 
 def _old_triplet_text(op):
     """The original writer: densify, then one formatted line per nonzero."""
-    A = op.to_dense()
+    A = op.matrix
     i, j = np.nonzero(A)
     return f"{op.rows} {op.cols} {len(i)}\n" + "".join(
         f"{ii} {jj} {float(A[ii, jj])!r}\n" for ii, jj in zip(i, j))
@@ -309,15 +309,15 @@ def test_triplet_bytes_match_original_writer(tmp_path, monkeypatch, kind,
     save_triplets(path, op)
     assert path.read_bytes() == _old_triplet_text(op).encode()
     back = load_triplets(path)
-    assert back.shape == op.shape
-    assert np.array_equal(back.to_dense(), op.to_dense())
+    assert (back.rows, back.cols) == (op.rows, op.cols)
+    assert np.array_equal(back.matrix, op.matrix)
 
 
 def test_triplet_empty_and_truncated(tmp_path):
     path = tmp_path / "m.txt"
     save_triplets(path, LinearMap.from_dense(np.zeros((2, 3))))
     assert path.read_text() == "2 3 0\n"
-    assert np.array_equal(load_triplets(path).to_dense(), np.zeros((2, 3)))
+    assert np.array_equal(load_triplets(path).matrix, np.zeros((2, 3)))
     path.write_text("2 2 3\n0 0 1.0\n1 1 2.0\n")
     with pytest.raises(ValueError):
         load_triplets(path)
@@ -330,13 +330,13 @@ def test_triplet_roundtrip(tmp_path, rng):
     path = tmp_path / "m.txt"
     save_triplets(path, op)
     op2 = load_triplets(path)
-    assert op2.shape == (5, 4)
-    assert np.array_equal(op2.to_dense(), A)
+    assert (op2.rows, op2.cols) == (5, 4)
+    assert np.array_equal(op2.matrix, A)
 
 
 def save_dense_csv(path, op):
     """Write the materialized operator as plain CSV."""
-    np.savetxt(path, op.to_dense(), delimiter=",")
+    np.savetxt(path, op.matrix, delimiter=",")
 
 
 def test_dense_csv_export(tmp_path):
@@ -344,11 +344,26 @@ def test_dense_csv_export(tmp_path):
     path = tmp_path / "m.csv"
     save_dense_csv(path, op)
     back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(back, op.to_dense())
+    assert np.array_equal(back, op.matrix)
 
 
-def test_dense_matrix_is_readonly(rng):
-    op = LinearMap.from_dense(rng.standard_normal((3, 3)))
+def _callables_map(A):
+    return LinearMap(A.shape[0], A.shape[1], lambda x: A @ x,
+                     lambda y: A.T @ y)
+
+
+# each way a map keeps its matrix: an ndarray, CSR copies of a dense array,
+# CSR copies of a sparse matrix, nothing but its products
+@pytest.mark.parametrize("A, wrap", [
+    (np.random.default_rng(5).standard_normal((3, 4)), LinearMap.from_dense),
+    (_sparse_400(), LinearMap.from_dense),
+    (_sparse_400(), lambda A: LinearMap.from_sparse(sp.csr_matrix(A))),
+    (np.random.default_rng(5).standard_normal((3, 4)), _callables_map)],
+    ids=["dense", "csr_dense", "sparse", "callables"])
+def test_dense_matrix_is_readonly(A, wrap):
+    op = wrap(A)
+    assert isinstance(op.matrix, np.ndarray)
+    assert np.array_equal(op.matrix, A)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 7.0
 
@@ -416,9 +431,9 @@ import sys
 import numpy as np
 from nspd.linop import LinearMap, load_triplets
 A = np.array([[0.0, 1.5, 0.0], [-2.0, 0.0, 0.25]])
-assert np.array_equal(load_triplets(sys.argv[1]).to_dense(), A)
+assert np.array_equal(load_triplets(sys.argv[1]).matrix, A)
 op = LinearMap.from_triplets(2, 3, [0, 1, 1], [1, 0, 2], [1.5, -2.0, 0.25])
-assert op.kind == "sparse" and np.array_equal(op.to_dense(), A)
+assert op.kind == "sparse" and np.array_equal(op.matrix, A)
 assert np.array_equal(op.apply(np.ones(3)), A @ np.ones(3))
 print("ok")
 """, path)

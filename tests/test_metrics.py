@@ -302,7 +302,7 @@ def test_exact_arm_certifies_its_pair(kind, rng):
     def gap(x, y):
         return abs(F(x) + metrics.dual_value(problem, y))
 
-    x, y = arm(problem.K.to_dense(), f, g, gap)
+    x, y = arm(problem.K.matrix, f, g, gap)
     assert gap(x, y) <= 1e-8
     assert feas is None or feas(x) <= 1e-8
 
@@ -324,7 +324,7 @@ def test_reference_solution_refuses_a_conjugate_that_under_reports(
     problem, _ = bench.gen_lad(bench.LadConfig(n=20, p=8, s=3, seed=11))
     f, g, K = problem.f, problem.g, problem.K
     lad_lp = metrics._EXACT_ARMS["l1", "l1_shifted"]
-    x_star, y_star = lad_lp(K.to_dense(), f, g, None)
+    x_star, y_star = lad_lp(K.matrix, f, g, None)
     x = x_star + 1e-4  # moves zero entries: breaks -K^T y* in df(x)
     delta = problem.primal_value(x) - problem.primal_value(x_star)
     monkeypatch.setitem(metrics._EXACT_ARMS, ("l1", "l1_shifted"),
