@@ -5,6 +5,8 @@ forward map, its adjoint, and a spectral-norm estimate (a Lanczos Ritz
 value, see :func:`estimate_norm`).  Two concrete constructions are provided:
 dense row-major matrices and sparse triplets.
 A dense matrix keeps a copy of its array and multiplies through BLAS,
+by the array's bound ``dot`` rather than ``@`` (numpy's ``matmul`` gufunc
+calls the same BLAS routine but costs ~0.6 us more per desk-size call),
 unless it has at least ``_CSR_MIN_ENTRIES`` (2^17) entries with at most a
 ``_CSR_MAX_DENSITY`` (15%) share nonzero: then it keeps only CSR copies of
 the matrix and of its transpose and multiplies through them, and its
@@ -201,9 +203,15 @@ class LinearMap:
     def _dense_map(cls, A, csr, norm_estimate=None):
         """The map of the array ``A`` multiplied through BLAS, or, when
         ``A`` is None, of the CSR pair ``csr`` = (S, S^T), whose ``matrix``
-        is ``S`` rebuilt dense."""
+        is ``S`` rebuilt dense.
+
+        The products of ``A`` are its bound ``A.dot`` and ``A.T.dot``: the
+        same BLAS call as ``A @ x``, and bit-equal to it on every input
+        with non-negative strides, without the ``matmul`` gufunc's dispatch
+        (3.2 -> 2.7 us on 200x64, 1 BLAS thread).
+        """
         if csr is None:
-            forward, adjoint = (lambda x: A @ x), (lambda y: A.T @ y)
+            forward, adjoint = A.dot, A.T.dot
             stored = A
         else:
             S, St = csr

@@ -108,8 +108,9 @@ def resolve_rho0(rho0, gamma, norm_K, x0=None, y0=None, x_ref=None, y_ref=None):
 
 @dataclass
 class PDState:
-    """Iterates of the merged form, with cached K-products so each step
-    performs exactly one forward and one adjoint application.
+    """Iterates of the merged form, with cached K-products so each step of
+    :func:`step` performs exactly one forward and one adjoint application
+    (K x^ extrapolates K x as x^ extrapolates x).
 
     ``u`` carries the previous step's term of the three-point dual
     correction (see :func:`_dual_correction`); it is zero at k = 0.

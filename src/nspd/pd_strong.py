@@ -133,7 +133,11 @@ class StrongOptions:
 @dataclass
 class PDStrongState(PDState):
     """The iterates of :class:`nspd.pd_general.PDState` plus the
-    extrapolation sequence ``x_tilde`` that the second prox of f drives."""
+    extrapolation sequence ``x_tilde`` that the second prox of f drives.
+
+    x^ is a convex combination of x and x~, not an extrapolation of x, so
+    each step makes two forward products, K x and K x^, and one adjoint.
+    """
 
     x_tilde: np.ndarray = field(kw_only=True)
 
@@ -161,7 +165,7 @@ def step(state: PDStrongState, problem: CompositeProblem,
     x_hat_new = (1.0 - tau_next) * x_new + tau_next * x_tilde_new
 
     K_x_new = K.apply(x_new)
-    K_xhat_new = (1.0 - tau_next) * K_x_new + tau_next * K.apply(x_tilde_new)
+    K_xhat_new = K.apply(x_hat_new)
 
     y_tilde_new, u_new = _dual_correction(state, y_new, K_x_new, tau, rho,
                                           eta)

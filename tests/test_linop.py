@@ -169,6 +169,33 @@ def test_dense_and_small_arrays_keep_blas(rng):
             assert np.array_equal(op.adjoint_apply(y), A.T @ y)
 
 
+def _strided_views(rng, size):
+    """A contiguous vector and three strided ones of length ``size``."""
+    return [rng.standard_normal(size),
+            rng.standard_normal(2 * size)[::2],
+            rng.standard_normal((size, 3))[:, 1],
+            np.asfortranarray(rng.standard_normal((2, size)))[0]]
+
+
+@pytest.mark.parametrize("shape", [(200, 64), (1, 7), (7, 1), (1, 1)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("make", [LinearMap.from_dense,
+                                  LinearMap.from_dense_unit_norm],
+                         ids=["from_dense", "unit_norm"])
+def test_dense_products_equal_matmul_bit_for_bit(rng, shape, make):
+    # the unit-norm map's array is divided in place after its norm estimate
+    op = make(rng.standard_normal(shape))
+    A = op.matrix
+    for x in _strided_views(rng, op.cols):
+        assert np.array_equal(op.apply(x), A @ x)
+    for y in _strided_views(rng, op.rows):
+        assert np.array_equal(op.adjoint_apply(y), A.T @ y)
+    # a reversed view is multiplied as its contiguous copy
+    x, y = rng.standard_normal(op.cols)[::-1], rng.standard_normal(op.rows)[::-1]
+    assert np.array_equal(op.apply(x), A @ x.copy())
+    assert np.array_equal(op.adjoint_apply(y), A.T @ y.copy())
+
+
 def test_norm_identity():
     est = estimate_norm(LinearMap.from_dense(np.eye(6)))
     assert est.converged

@@ -126,6 +126,18 @@ def test_merged_matches_split_form(rng, case, c):
         assert np.linalg.norm(sm.y_bar - ss.y_bar) <= 1e-9
 
 
+@pytest.mark.parametrize("case", [1, 2])
+def test_cached_products_are_those_of_the_iterates(rng, case):
+    problem = elastic_instance(rng)
+    sched = StrongSchedule(case, 0.75, mu_f=0.1, norm_K=problem.K.norm)
+    state = init_state(problem, rng.standard_normal(20),
+                       rng.standard_normal(50))
+    for _ in range(50):
+        step(state, problem, sched)
+        assert np.array_equal(state.K_xhat, problem.K.apply(state.x_hat))
+        assert np.array_equal(state.K_x, problem.K.apply(state.x))
+
+
 def test_split_form_stationary_at_constructed_saddle(rng):
     # f elastic, g = |.|_1 (zero shift), any K: the subgradient conditions
     # 0 in df(0) + K^T 0 and K 0 in dg*(0) make (0, 0) a saddle point
