@@ -41,7 +41,8 @@ __all__ = [
 class BaselineConfig:
     """Options shared by the baseline solvers.
 
-    The fixed-step primal-dual methods require rho * beta * ||K||^2 <= 1.
+    rho and beta, when given, must be positive, and the fixed-step
+    primal-dual methods require rho * beta * ||K||^2 <= 1.
     """
 
     rho: float = 1.0
@@ -53,6 +54,11 @@ class BaselineConfig:
     trace_every: int | str = 1
 
     def __post_init__(self):
+        for name in ("rho", "beta"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigurationError(
+                    f"{name} must be positive, got {value!r}")
         if self.output_mode not in ("ergodic", "last_iterate"):
             raise ConfigurationError(
                 f"output_mode must be 'ergodic' or 'last_iterate', "

@@ -347,17 +347,6 @@ def _game(spec) -> _Experiment:
         p, n = game.p, game.n
         gamma, rho0 = 0.5, 1.0 / norm_K
 
-        def gap_certificate(sched):
-            # sup of ||x0 - x||^2 over the simplex from the uniform start
-            # is attained at a vertex: 1 - 1/p
-            dx_sup2 = 1.0 - 1.0 / p
-            dy_sup2 = 1.0 - 1.0 / n
-            const = (sched.rho0 * norm_K ** 2 * dx_sup2 / sched.gamma
-                     + dy_sup2 / ((1.0 - sched.gamma) * sched.rho0))
-            return metrics.Certificate(
-                "general_gap_simplex", const, 1, lambda k: 1.0 / (2.0 * k),
-                "1/(2k)", "exact", {"rho0": sched.rho0, "gamma": sched.gamma})
-
         def smoothing(mu_scale):
             return lambda recorder: baselines.smoothing_solve(
                 game, spec.epsilon, mu_scale=mu_scale, recorder=recorder)
@@ -366,7 +355,8 @@ def _game(spec) -> _Experiment:
         return [
             _Row("pd_general_c1",
                  solver("pd_general", dict(general, c=1.0), inst),
-                 gap_certificate),
+                 lambda sched: metrics.certificate_game_gap(
+                     p, n, sched.rho0, sched.gamma, norm_K)),
             _Row("pd_general_c2",
                  solver("pd_general", dict(general, c=2.0), inst)),
             *(_Row(f"smoothing_mu{m:g}", smoothing(m))

@@ -13,19 +13,21 @@ import time
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = ["check_trace_every", "record_cadence", "run"]
 
 
 def check_trace_every(trace_every):
-    """Raise ValueError unless ``trace_every`` is ``"log"`` or a positive
-    integer."""
+    """Raise ConfigurationError unless ``trace_every`` is ``"log"`` or a
+    positive integer."""
     if trace_every == "log":
         return
     if (isinstance(trace_every, bool)
             or not isinstance(trace_every, (int, np.integer))
             or trace_every < 1):
-        raise ValueError("trace_every must be 'log' or a positive integer, "
-                         f"got {trace_every!r}")
+        raise ConfigurationError("trace_every must be 'log' or a positive "
+                                 f"integer, got {trace_every!r}")
 
 
 def record_cadence(max_iters, trace_every):
@@ -33,7 +35,7 @@ def record_cadence(max_iters, trace_every):
 
     A positive integer ``trace_every`` records every multiple of it, the
     first ten iterations and the last; ``"log"`` records ~400 log-spaced k,
-    the first ten and the last.  Anything else is a ValueError.
+    the first ten and the last.  Anything else is a ConfigurationError.
     """
     check_trace_every(trace_every)
     if trace_every == "log":
@@ -51,8 +53,15 @@ def run(advance, state, max_iters, trace_every, recorder, output, tol=None):
     counts the steps taken.  When ``recorder`` is given, ``output(state)``
     returns the ``(x, y, products)`` it is called with at each recorded k,
     ``t`` being the seconds since the loop started; a recorded value at or
-    below ``tol`` stops the run.
+    below ``tol`` stops the run.  A ``max_iters`` that is not a
+    non-negative integer, or a bad ``trace_every``, is a
+    ConfigurationError, recorded or not.
     """
+    if (isinstance(max_iters, bool)
+            or not isinstance(max_iters, (int, np.integer)) or max_iters < 0):
+        raise ConfigurationError("max_iters must be a non-negative integer, "
+                                 f"got {max_iters!r}")
+    check_trace_every(trace_every)
     recorded = ((lambda k: False) if recorder is None
                 else record_cadence(max_iters, trace_every))
     t0 = time.perf_counter()

@@ -43,6 +43,7 @@ __all__ = [
     "Certificate",
     "certificate_general_primal",
     "certificate_general_fast",
+    "certificate_game_gap",
     "certificate_strong_primal",
     "certificate_strong_fast",
     "certificate_constrained",
@@ -263,6 +264,15 @@ def _shape_half_k(k):
     return 1.0 / (2.0 * k)
 
 
+def _sqdist(a, b) -> float:
+    return float(np.sum((np.asarray(a, float) - np.asarray(b, float)) ** 2))
+
+
+def _general_c1_constant(rho0, gamma, norm_K, dx2, dy2) -> float:
+    """The general method's c = 1 constant from squared distances."""
+    return rho0 * norm_K ** 2 * dx2 / gamma + dy2 / ((1.0 - gamma) * rho0)
+
+
 def certificate_general_primal(x0, y0, x_star, M_g, rho0, gamma,
                                norm_K) -> Certificate:
     """Primal residual certificate for the general method with c = 1.
@@ -273,12 +283,22 @@ def certificate_general_primal(x0, y0, x_star, M_g, rho0, gamma,
     """
     if M_g is None:
         raise CertificateUnavailableError("needs the Lipschitz constant of g")
-    dx2 = float(np.sum((np.asarray(x0, float) - np.asarray(x_star, float)) ** 2))
+    dx2 = _sqdist(x0, x_star)
     Dg = float(np.linalg.norm(y0)) + M_g
-    const = rho0 * norm_K ** 2 * dx2 / gamma + Dg ** 2 / ((1.0 - gamma) * rho0)
+    const = _general_c1_constant(rho0, gamma, norm_K, dx2, Dg ** 2)
     return Certificate("general_primal", const, 1, _shape_half_k, "1/(2k)",
                        inputs={"rho0": rho0, "gamma": gamma, "norm_K": norm_K,
                                "dx": math.sqrt(dx2), "D_g": Dg})
+
+
+def certificate_game_gap(p, n, rho0, gamma, norm_K) -> Certificate:
+    """Gap certificate for the general method with c = 1 on a game over the
+    p- and n-simplexes from the uniform pair: the c = 1 constant at the
+    suprema of ||x0 - x||^2 and ||y0 - y||^2, 1 - 1/p and 1 - 1/n."""
+    const = _general_c1_constant(rho0, gamma, norm_K, 1.0 - 1.0 / p,
+                                 1.0 - 1.0 / n)
+    return Certificate("general_gap_simplex", const, 1, _shape_half_k,
+                       "1/(2k)", "exact", {"rho0": rho0, "gamma": gamma})
 
 
 def certificate_general_fast(c, F0_minus_Fstar, x0, y0, x_star, y_star, M_g,
@@ -293,11 +313,10 @@ def certificate_general_fast(c, F0_minus_Fstar, x0, y0, x_star, y_star, M_g,
         raise CertificateUnavailableError("this certificate requires c > 1")
     if M_g is None:
         raise CertificateUnavailableError("needs the Lipschitz constant of g")
-    dx2 = float(np.sum((np.asarray(x0, float) - np.asarray(x_star, float)) ** 2))
-    dy2 = float(np.sum((np.asarray(y0, float) - np.asarray(y_star, float)) ** 2))
+    dx2 = _sqdist(x0, x_star)
+    dy2 = _sqdist(y0, y_star)
     R0sq = ((c - 1.0) * max(F0_minus_Fstar, 0.0)
-            + 0.5 * c * (rho0 * norm_K ** 2 * dx2 / gamma
-                         + dy2 / ((1.0 - gamma) * rho0)))
+            + 0.5 * c * _general_c1_constant(rho0, gamma, norm_K, dx2, dy2))
     R0 = math.sqrt(R0sq)
     R1sq = R0sq + math.sqrt(2.0 * c / rho0) * (float(np.linalg.norm(y_star)) + M_g) * R0
     return Certificate("general_fast", R1sq, 1,
@@ -316,7 +335,7 @@ def certificate_strong_primal(x0, y0, x_star, M_g, rho0, gamma,
     if M_g is None:
         raise CertificateUnavailableError("needs the Lipschitz constant of g")
     Gamma = 2.0 - 1.0 / gamma
-    dx2 = float(np.sum((np.asarray(x0, float) - np.asarray(x_star, float)) ** 2))
+    dx2 = _sqdist(x0, x_star)
     Dg = float(np.linalg.norm(y0)) + M_g
     const = rho0 * norm_K ** 2 * dx2 / Gamma + Dg ** 2 / ((1.0 - gamma) * rho0)
     return Certificate("strong_primal", const, 2,
@@ -338,8 +357,8 @@ def certificate_strong_fast(c, F0_minus_Fstar, x0, y0, x_star, y_star, M_g,
     if M_g is None:
         raise CertificateUnavailableError("needs the Lipschitz constant of g")
     Gamma = 2.0 - 1.0 / gamma
-    dx2 = float(np.sum((np.asarray(x0, float) - np.asarray(x_star, float)) ** 2))
-    dy2 = float(np.sum((np.asarray(y0, float) - np.asarray(y_star, float)) ** 2))
+    dx2 = _sqdist(x0, x_star)
+    dy2 = _sqdist(y0, y_star)
     R0sq = ((c - 1.0) * max(F0_minus_Fstar, 0.0)
             + 0.5 * (c - 1.0) * ((c - 1.0) * rho0 * norm_K ** 2 / Gamma
                                  + c * mu_f) * dx2
@@ -358,7 +377,7 @@ def certificate_constrained(x0, y0, x_star, y_star, rho0, gamma, norm_K,
     both |F(x_k) - F*| and ||K x_k - b|| are bounded by R0^2/(2k) with
     R0^2 = (rho0||K||^2 + gamma L_psi)/gamma ||x0-x*||^2
     + (2||y*|| + ||y0|| + 1)^2 / ((1-gamma) rho0)."""
-    dx2 = float(np.sum((np.asarray(x0, float) - np.asarray(x_star, float)) ** 2))
+    dx2 = _sqdist(x0, x_star)
     lam = 2.0 * float(np.linalg.norm(y_star)) + float(np.linalg.norm(y0)) + 1.0
     R0sq = ((rho0 * norm_K ** 2 + gamma * L_psi) / gamma * dx2
             + lam ** 2 / ((1.0 - gamma) * rho0))
@@ -374,8 +393,8 @@ def certificate_semistrong(x0, w0, y0, x_star, w_star, y_star, rho0, gamma,
     R0^2 = rho0||K||^2||x0-x*||^2/Gamma + nu0||w0-w*||^2
     + (2||y*|| + ||y0|| + 1)^2 / ((1-gamma) rho0)."""
     Gamma = 2.0 - 1.0 / gamma
-    dx2 = float(np.sum((np.asarray(x0, float) - np.asarray(x_star, float)) ** 2))
-    dw2 = float(np.sum((np.asarray(w0, float) - np.asarray(w_star, float)) ** 2))
+    dx2 = _sqdist(x0, x_star)
+    dw2 = _sqdist(w0, w_star)
     lam = 2.0 * float(np.linalg.norm(y_star)) + float(np.linalg.norm(y0)) + 1.0
     R0sq = (rho0 * norm_K ** 2 * dx2 / Gamma + nu0 * dw2
             + lam ** 2 / ((1.0 - gamma) * rho0))

@@ -113,7 +113,7 @@ class PDState:
     (K x^ extrapolates K x as x^ extrapolates x).
 
     ``u`` carries the previous step's term of the three-point dual
-    correction (see :func:`_dual_correction`); it is zero at k = 0.
+    correction (see :func:`_merged_finish`); it is zero at k = 0.
     ``Kt_ybar``, when not None, is K^T y_bar kept for the recorder as a
     running average of the steps' K^T y products, summed in a different
     order than K^T y_bar, so equal to it up to rounding.  tau_0 = 1 in
@@ -140,24 +140,6 @@ def init_state(problem: CompositeProblem, x0, y0) -> PDState:
     return PDState(k=0, x=x0.copy(), x_hat=x0.copy(), y=y0.copy(),
                    y_tilde=y0.copy(), y_bar=y0.copy(), K_x=Kx0,
                    K_xhat=Kx0.copy(), u=np.zeros_like(Kx0))
-
-
-def _dual_correction(state, y_new, K_x_new, tau, rho, eta):
-    """The three-point dual correction shared by the merged forms.
-
-    Eliminating the split residual gives
-
-        y~_{k+1} = y~_k + eta (K x_{k+1} - K x^_k)
-                   + (eta/rho_k) (y_{k+1} - y~_k)
-                   - eta (1 - tau_k) [(K x_k - K x^_{k-1})
-                                      + (y_k - y~_{k-1})/rho_{k-1}],
-
-    that is y~_{k+1} = y~_k + eta (u_{k+1} - (1 - tau_k) u_k) with
-    u_{k+1} = K x_{k+1} - K x^_k + (y_{k+1} - y~_k)/rho_k.  Returns
-    (y~_{k+1}, u_{k+1}); the next call reads u back from ``state.u``.
-    """
-    u = (K_x_new - state.K_xhat) + (y_new - state.y_tilde) / rho
-    return state.y_tilde + eta * (u - (1.0 - tau) * state.u), u
 
 
 def constrained_beta(sched: GeneralSchedule, rho: float, L_psi: float) -> float:
@@ -190,12 +172,31 @@ def step(state: PDState, problem: CompositeProblem, sched: GeneralSchedule,
 
     momentum = tau_next * (1.0 - tau) / tau
     x_hat_new = x_new + momentum * (x_new - state.x)
-
     K_x_new = K.apply(x_new)
-    K_xhat_new = K_x_new + momentum * (K_x_new - state.K_x)
+    return _merged_finish(state, tau, rho, eta, y_new, Kt_y, x_new, x_hat_new,
+                          K_x_new, K_x_new + momentum * (K_x_new - state.K_x))
 
-    y_tilde_new, u_new = _dual_correction(state, y_new, K_x_new, tau, rho,
-                                          eta)
+
+def _merged_finish(state, tau, rho, eta, y_new, Kt_y, x_new, x_hat_new,
+                   K_x_new, K_xhat_new):
+    """Finish a merged step of either method from its new y, K^T y, x, x^
+    and their K products: the three-point dual correction, the dual
+    average, the finiteness check, and only then the state update.
+
+    Eliminating the split residual gives
+
+        y~_{k+1} = y~_k + eta (K x_{k+1} - K x^_k)
+                   + (eta/rho_k) (y_{k+1} - y~_k)
+                   - eta (1 - tau_k) [(K x_k - K x^_{k-1})
+                                      + (y_k - y~_{k-1})/rho_{k-1}],
+
+    that is y~_{k+1} = y~_k + eta (u_{k+1} - (1 - tau_k) u_k) with
+    u_{k+1} = K x_{k+1} - K x^_k + (y_{k+1} - y~_k)/rho_k, which the next
+    step reads back from ``state.u``.
+    """
+    k = state.k
+    u_new = (K_x_new - state.K_xhat) + (y_new - state.y_tilde) / rho
+    y_tilde_new = state.y_tilde + eta * (u_new - (1.0 - tau) * state.u)
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
 
     check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
@@ -243,17 +244,25 @@ def init_split_state(problem: CompositeProblem, x0, y0) -> RawState:
 def split_step(state: RawState, problem: CompositeProblem,
                sched: GeneralSchedule) -> RawState:
     """One iteration of the split alternating scheme."""
+    def primal(x_hat, grad, tau, rho, beta):
+        x_new = problem.f.prox(x_hat - beta * grad, beta)
+        return x_new, state.x_tilde + (x_new - x_hat) / tau
+
+    return _split_step(state, problem, sched, primal)
+
+
+def _split_step(state: RawState, problem, sched, primal) -> RawState:
+    """One split iteration of either method; ``primal(x^, grad, tau, rho,
+    beta)`` returns the method's new (x, x~) from the gradient K^T y."""
     k = state.k
     tau, rho, beta, eta = sched.at(k)
-    f, g, K = problem.f, problem.g, problem.K
+    g, K = problem.g, problem.K
 
     x_hat = (1.0 - tau) * state.x + tau * state.x_tilde
     K_xhat = K.apply(x_hat)
     r_new = g.prox(state.y_tilde / rho + K_xhat, 1.0 / rho)
-    grad = K.adjoint_apply(state.y_tilde + rho * (K_xhat - r_new))
-    x_new = f.prox(x_hat - beta * grad, beta)
-    x_tilde_new = state.x_tilde + (x_new - x_hat) / tau
     y_new = state.y_tilde + rho * (K_xhat - r_new)
+    x_new, x_tilde_new = primal(x_hat, K.adjoint_apply(y_new), tau, rho, beta)
     y_tilde_new = state.y_tilde + eta * (K.apply(x_new) - r_new
                                          - (1.0 - tau) * (K.apply(state.x) - state.r))
     y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new

@@ -36,7 +36,8 @@ import numpy as np
 from . import pd_general
 from .driver import run
 from .errors import ConfigurationError, check_finite
-from .pd_general import PDState, RawState, _dual_correction, init_split_state
+from .pd_general import (PDState, RawState, _merged_finish, _split_step,
+                         init_split_state)
 from .problems import CompositeProblem, SemiStrongProblem
 from .prox import apg, conjugate_prox
 
@@ -147,45 +148,32 @@ def init_state(problem: CompositeProblem, x0, y0) -> PDStrongState:
     return PDStrongState(**vars(state), x_tilde=state.x.copy())
 
 
+def _prox_pair(f, x_hat, x_tilde, grad, tau, rho, beta, norm_K):
+    """The two prox steps of f along one dual gradient: x~ steps by
+    beta/tau from x~, and x by 1/(rho ||K||^2) from x^.  Returns (x, x~)."""
+    s_tilde = beta / tau
+    x_tilde_new = f.prox(x_tilde - s_tilde * grad, s_tilde)
+    s_x = 1.0 / (rho * norm_K ** 2)
+    return f.prox(x_hat - s_x * grad, s_x), x_tilde_new
+
+
 def step(state: PDStrongState, problem: CompositeProblem,
          sched: StrongSchedule) -> PDStrongState:
     """One iteration of the merged strongly convex update."""
     k = state.k
     tau, rho, beta, eta = sched.at(k)
     tau_next = sched.tau(k + 1)
-    f, g, K = problem.f, problem.g, problem.K
+    K = problem.K
 
-    y_new = conjugate_prox(g, state.y_tilde + rho * state.K_xhat, rho)
+    y_new = conjugate_prox(problem.g, state.y_tilde + rho * state.K_xhat, rho)
     Kt_y = K.adjoint_apply(y_new)
-
-    s_tilde = beta / tau
-    x_tilde_new = f.prox(state.x_tilde - s_tilde * Kt_y, s_tilde)
-    s_x = 1.0 / (rho * sched.norm_K ** 2)
-    x_new = f.prox(state.x_hat - s_x * Kt_y, s_x)
+    x_new, x_tilde_new = _prox_pair(problem.f, state.x_hat, state.x_tilde,
+                                    Kt_y, tau, rho, beta, sched.norm_K)
     x_hat_new = (1.0 - tau_next) * x_new + tau_next * x_tilde_new
 
-    K_x_new = K.apply(x_new)
-    K_xhat_new = K.apply(x_hat_new)
-
-    y_tilde_new, u_new = _dual_correction(state, y_new, K_x_new, tau, rho,
-                                          eta)
-    y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
-
-    check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
-
-    if state.Kt_ybar is not None:
-        state.Kt_ybar = (1.0 - tau) * state.Kt_ybar + tau * Kt_y
-
-    state.x = x_new
-    state.x_tilde = x_tilde_new
-    state.x_hat = x_hat_new
-    state.y_tilde = y_tilde_new
-    state.y = y_new
-    state.y_bar = y_bar_new
-    state.K_x = K_x_new
-    state.K_xhat = K_xhat_new
-    state.u = u_new
-    state.k = k + 1
+    _merged_finish(state, tau, rho, eta, y_new, Kt_y, x_new, x_hat_new,
+                   K.apply(x_new), K.apply(x_hat_new))
+    state.x_tilde = x_tilde_new  # only once the finish has checked the step
     return state
 
 
@@ -194,35 +182,11 @@ def step(state: PDStrongState, problem: CompositeProblem,
 def split_step(state: RawState, problem: CompositeProblem,
                sched: StrongSchedule) -> RawState:
     """One iteration of the split scheme with explicit residual."""
-    k = state.k
-    tau, rho, beta, eta = sched.at(k)
-    f, g, K = problem.f, problem.g, problem.K
+    def primal(x_hat, grad, tau, rho, beta):
+        return _prox_pair(problem.f, x_hat, state.x_tilde, grad, tau, rho,
+                          beta, sched.norm_K)
 
-    x_hat = (1.0 - tau) * state.x + tau * state.x_tilde
-    K_xhat = K.apply(x_hat)
-    r_new = g.prox(state.y_tilde / rho + K_xhat, 1.0 / rho)
-    grad = K.adjoint_apply(state.y_tilde + rho * (K_xhat - r_new))
-
-    s_tilde = beta / tau
-    x_tilde_new = f.prox(state.x_tilde - s_tilde * grad, s_tilde)
-    s_x = 1.0 / (rho * sched.norm_K ** 2)
-    x_new = f.prox(x_hat - s_x * grad, s_x)
-
-    y_new = state.y_tilde + rho * (K_xhat - r_new)
-    y_tilde_new = state.y_tilde + eta * (K.apply(x_new) - r_new
-                                         - (1.0 - tau) * (K.apply(state.x) - state.r))
-    y_bar_new = (1.0 - tau) * state.y_bar + tau * y_new
-
-    check_finite(k, x=x_new, y=y_new, y_tilde=y_tilde_new)
-
-    state.x = x_new
-    state.x_tilde = x_tilde_new
-    state.r = r_new
-    state.y_tilde = y_tilde_new
-    state.y_bar = y_bar_new
-    state.y = y_new
-    state.k = k + 1
-    return state
+    return _split_step(state, problem, sched, primal)
 
 
 # -- semi-strongly convex constrained scheme ---------------------------------
@@ -291,10 +255,8 @@ def semistrong_step(state: SemiStrongState, problem: SemiStrongProblem,
     y_new = state.y_tilde + rho * (K_xhat + B.apply(w_new) - b)
     Kt_y = K.adjoint_apply(y_new)
 
-    s_tilde = beta / tau
-    x_tilde_new = f.prox(state.x_tilde - s_tilde * Kt_y, s_tilde)
-    s_x = 1.0 / (rho * sched.norm_K ** 2)
-    x_new = f.prox(state.x_hat - s_x * Kt_y, s_x)
+    x_new, x_tilde_new = _prox_pair(f, state.x_hat, state.x_tilde, Kt_y, tau,
+                                    rho, beta, sched.norm_K)
     x_hat_new = (1.0 - tau_next) * x_new + tau_next * x_tilde_new
 
     momentum = tau_next * (1.0 - tau) / tau

@@ -9,6 +9,7 @@ import pytest
 
 from nspd import baselines, bench, metrics, pd_general, pd_strong, prox
 from nspd.driver import record_cadence, run
+from nspd.errors import ConfigurationError
 from nspd.linop import LinearMap
 from nspd.problems import (CompositeProblem, EqConstrainedProblem,
                            MatrixGame, SemiStrongProblem, neg_identity)
@@ -237,6 +238,18 @@ def test_solvers_reject_trace_every_zero(method):
     solve = bench.solver(method, {"max_iters": 20, "trace_every": 0}, inst)
     with pytest.raises(ValueError, match="trace_every"):
         solve(inst.recorder(metrics.Trace()))
+
+
+@pytest.mark.parametrize("max_iters, trace_every, named", [
+    (20, 0, "trace_every"), (20, "lin", "trace_every"),
+    (-1, 1, "max_iters must be a non-negative integer, got -1"),
+    (2.5, 1, "max_iters must be a non-negative integer, got 2.5")])
+def test_bare_run_refuses_a_bad_budget(max_iters, trace_every, named):
+    class State:
+        k = 0
+
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        run(lambda s: s, State(), max_iters, trace_every, None, None)
 
 
 def test_smoothing_records_the_log_cadence(rng):

@@ -156,6 +156,15 @@ def test_certificates_monotone_in_radius():
     assert s_moved.constant >= s_base.constant
 
 
+def test_game_gap_certificate_formula():
+    # rho0 ||K||^2 (1 - 1/p)/gamma + (1 - 1/n)/((1 - gamma) rho0)
+    cert = metrics.certificate_game_gap(4, 2, rho0=1.0, gamma=0.5, norm_K=1.0)
+    assert cert.constant == 2.5 and cert.bound_at(5) == 0.25
+    assert (cert.name, cert.shape_label, cert.reference_source) == \
+        ("general_gap_simplex", "1/(2k)", "exact")
+    assert cert.inputs == {"rho0": 1.0, "gamma": 0.5}
+
+
 def test_certificate_shapes_and_slack():
     cert = Certificate("demo", 10.0, 1, lambda k: 1.0 / k, "1/k")
     assert cert.bound_at(5) == pytest.approx(2.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nspd import pd_general, prox
+from nspd import pd_general, pd_strong, prox
 from nspd.errors import ConfigurationError, DivergenceError
 from nspd.linop import LinearMap
 from nspd.pd_general import (GeneralSchedule, constrained_beta,
@@ -105,16 +105,31 @@ def test_zero_start_at_saddle_point_stays():
     assert np.array_equal(st_m.y, np.zeros(p))
 
 
-def test_divergence_raises_with_iteration_index():
+@pytest.mark.parametrize("method, form", [
+    (pd_general, "merged"), (pd_strong, "merged"),
+    (pd_general, "split"), (pd_strong, "split")],
+    ids=["pd_general.step", "pd_strong.step", "pd_general.split_step",
+         "pd_strong.split_step"])
+def test_divergence_raises_with_iteration_index(method, form):
     p = 2
     problem = CompositeProblem(prox.zero(p), prox.zero(p),
                                LinearMap.from_dense(np.eye(p)))
-    sched = GeneralSchedule(c=1.0, gamma=0.5, rho0=1.0, norm_K=1.0)
-    state = init_state(problem, np.array([1.0, np.nan]), np.zeros(p))
+    sched = (GeneralSchedule(c=1.0, gamma=0.5, rho0=1.0, norm_K=1.0)
+             if method is pd_general
+             else pd_strong.StrongSchedule(1, 0.75, mu_f=1.0, norm_K=1.0))
+    init, advance = ((method.init_state, method.step) if form == "merged"
+                     else (method.init_split_state, method.split_step))
+    state = init(problem, np.array([1.0, np.nan]), np.zeros(p))
+    before = {name: np.copy(v) for name, v in vars(state).items()
+              if isinstance(v, np.ndarray)}
     with pytest.raises(DivergenceError) as err:
-        step(state, problem, sched)
+        advance(state, problem, sched)
     assert err.value.iteration == 0
     assert err.value.quantity == "x"
+    # a failed step writes nothing into the state
+    assert state.k == 0
+    for name, value in before.items():
+        assert np.array_equal(getattr(state, name), value, equal_nan=True), name
 
 
 # -- merged vs split equivalence ---------------------------------------------------
