@@ -11,6 +11,7 @@ outputs; which one is recorded is chosen by ``output_mode``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,8 +42,9 @@ __all__ = [
 class BaselineConfig:
     """Options shared by the baseline solvers.
 
-    rho and beta, when given, must be positive, and the fixed-step
-    primal-dual methods require rho * beta * ||K||^2 <= 1.
+    rho, inner_tol and beta, when given, must be positive numbers and
+    inner_max a positive integer; the fixed-step primal-dual methods
+    require rho * beta * ||K||^2 <= 1.
     """
 
     rho: float = 1.0
@@ -54,11 +56,19 @@ class BaselineConfig:
     trace_every: int | str = 1
 
     def __post_init__(self):
-        for name in ("rho", "beta"):
+        for name in ("rho", "beta", "inner_tol"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
+            if value is None and name == "beta":  # 1/(rho ||K||^2)
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not value > 0):
                 raise ConfigurationError(
-                    f"{name} must be positive, got {value!r}")
+                    f"{name} must be a positive number, got {value!r}")
+        if (isinstance(self.inner_max, bool)
+                or not isinstance(self.inner_max, (int, np.integer))
+                or self.inner_max < 1):
+            raise ConfigurationError("inner_max must be a positive integer, "
+                                     f"got {self.inner_max!r}")
         if self.output_mode not in ("ergodic", "last_iterate"):
             raise ConfigurationError(
                 f"output_mode must be 'ergodic' or 'last_iterate', "
@@ -238,8 +248,9 @@ class _SmoothState:
 
 
 def smoothing_solve(game: MatrixGame, epsilon: float, mu_scale: float = 1.0,
-                    recorder=None, max_iters: Optional[int] = None):
-    """Accelerated projected gradient on the smoothed game objective.
+                    recorder=None):
+    """Accelerated projected gradient on the smoothed game objective, run
+    for the :func:`smoothing_iterations` its accuracy ``epsilon`` needs.
 
     The max over the n-simplex is smoothed with the squared Euclidean
     distance to its center y_c, F_mu(x) = max_y { <Kx, y> - (mu/2)
@@ -253,8 +264,7 @@ def smoothing_solve(game: MatrixGame, epsilon: float, mu_scale: float = 1.0,
     K = game.K
     n, p = game.n, game.p
     mu = mu_scale * smoothing_mu(epsilon, n)
-    k_max = smoothing_iterations(epsilon, n, p, K.norm) if max_iters is None \
-        else max_iters
+    k_max = smoothing_iterations(epsilon, n, p, K.norm)
     L = K.norm ** 2 / mu
     y_c = np.full(n, 1.0 / n)
 

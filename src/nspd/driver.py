@@ -3,8 +3,7 @@
 A recorder is called as ``recorder(k, x, y, t, **products)`` after step k
 on the recorded cadence, where ``products`` are the operator products the
 solver state already holds (``Kx``, ``Kty``, or ``w`` and ``resid``, see
-:mod:`nspd.metrics`).  Whatever the recorder returns is compared with the
-optional ``tol``: a value at or below it ends the run.
+:mod:`nspd.metrics`).  Every run takes its whole ``max_iters`` budget.
 """
 
 from __future__ import annotations
@@ -46,15 +45,14 @@ def record_cadence(max_iters, trace_every):
     return lambda k: k % trace_every == 0 or k <= 10 or k == max_iters
 
 
-def run(advance, state, max_iters, trace_every, recorder, output, tol=None):
-    """Advance ``state`` up to ``max_iters`` times and return it.
+def run(advance, state, max_iters, trace_every, recorder, output):
+    """Advance ``state`` ``max_iters`` times and return it.
 
     ``advance(state)`` performs one step and returns the state, whose ``k``
     counts the steps taken.  When ``recorder`` is given, ``output(state)``
     returns the ``(x, y, products)`` it is called with at each recorded k,
-    ``t`` being the seconds since the loop started; a recorded value at or
-    below ``tol`` stops the run.  A ``max_iters`` that is not a
-    non-negative integer, or a bad ``trace_every``, is a
+    ``t`` being the seconds since the loop started.  A ``max_iters`` that
+    is not a non-negative integer, or a bad ``trace_every``, is a
     ConfigurationError, recorded or not.
     """
     if (isinstance(max_iters, bool)
@@ -70,7 +68,5 @@ def run(advance, state, max_iters, trace_every, recorder, output, tol=None):
         k = state.k
         if recorded(k):
             x, y, products = output(state)
-            value = recorder(k, x, y, time.perf_counter() - t0, **products)
-            if tol is not None and value is not None and value <= tol:
-                break
+            recorder(k, x, y, time.perf_counter() - t0, **products)
     return state

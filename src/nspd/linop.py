@@ -2,9 +2,10 @@
 
 Solvers consume operators only through :class:`LinearMap`, which bundles a
 forward map, its adjoint, and a spectral-norm estimate (a Lanczos Ritz
-value, see :func:`estimate_norm`).  Two concrete constructions are provided:
-dense row-major matrices and sparse triplets.
-A dense matrix keeps a copy of its array and multiplies through BLAS,
+value, see :func:`estimate_norm`).  Every stored operator is built from a
+dense array, by :meth:`LinearMap.from_dense` (which :func:`load_triplets`
+calls) or :meth:`LinearMap.from_dense_unit_norm`.  It keeps a copy of its
+array and multiplies through BLAS,
 by the array's bound ``dot`` rather than ``@`` (numpy's ``matmul`` gufunc
 calls the same BLAS routine but costs ~0.6 us more per desk-size call),
 unless it has at least ``_CSR_MIN_ENTRIES`` (2^17) entries with at most a
@@ -15,9 +16,9 @@ the matrix and of its transpose and multiplies through them, and its
 immutable after construction and safe to share across threads;
 ``apply``/``adjoint_apply`` are reentrant.
 
-``scipy.sparse`` is imported only where a CSR copy, a triplet load or a
-sparse input is built: it is about half of ``import nspd`` (~0.17 of
-0.34 s), and the LAD instances never need it.
+``scipy.sparse`` is imported only where a CSR copy is built: it is about
+half of ``import nspd`` (~0.17 of 0.34 s), and the LAD instances never
+need it.
 """
 
 from __future__ import annotations
@@ -52,28 +53,24 @@ def _prefers_csr(A: np.ndarray) -> bool:
             and np.count_nonzero(A) <= _CSR_MAX_DENSITY * A.size)
 
 
-def _csr_pair(A):
-    """CSR copies of ``A`` and of its transpose, for the K and K^T products.
-
-    scipy copies the nonzeros, so later writes to ``A`` reach neither.  The
-    transpose is materialised as CSR too: a product through the CSC view
-    ``S.T`` is ~20% slower.
-    """
-    import scipy.sparse as sp
-
-    S = sp.csr_matrix(A, dtype=float)
-    return S, S.T.tocsr()
-
-
 def _storage(A):
     """What the dense map of the 2-d array ``A`` keeps: ``(None, (S,
-    S^T))`` when its products go through CSR, else ``(C, None)`` with ``C``
-    a C-ordered float copy of ``A``."""
+    S^T))``, CSR copies of ``A`` and of its transpose, when its products go
+    through CSR, else ``(C, None)`` with ``C`` a C-ordered float copy of
+    ``A``.
+
+    scipy copies the nonzeros, so later writes to ``A`` reach neither CSR
+    copy.  The transpose is materialised as CSR too: a product through the
+    CSC view ``S.T`` is ~20% slower.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("from_dense expects a 2-d array")
     if _prefers_csr(A):
-        return None, _csr_pair(A)
+        import scipy.sparse as sp
+
+        S = sp.csr_matrix(A)
+        return None, (S, S.T.tocsr())
     return np.array(A, order="C"), None
 
 
@@ -99,7 +96,7 @@ class LinearMap:
         first access of :attr:`norm` by :func:`estimate_norm`, which returns
         a *lower* estimate (a Ritz value) converged to its ``tol``.
     kind : str
-        Construction tag ("dense", "sparse", "neg_identity", "custom");
+        Construction tag ("dense", "neg_identity", "custom");
         "neg_identity" (set by :func:`nspd.problems.neg_identity`) selects
         the closed-form semi-strong w-step, so a map that is not exactly -I
         must not carry it.
@@ -222,23 +219,6 @@ class LinearMap:
         m._stored = stored
         return m
 
-    @classmethod
-    def from_triplets(cls, rows, cols, i, j, values) -> "LinearMap":
-        import scipy.sparse as sp
-
-        S = sp.coo_matrix((np.asarray(values, dtype=float),
-                           (np.asarray(i), np.asarray(j))),
-                          shape=(rows, cols)).tocsr()
-        return cls.from_sparse(S)
-
-    @classmethod
-    def from_sparse(cls, S) -> "LinearMap":
-        S, St = _csr_pair(S)
-        m = cls(S.shape[0], S.shape[1], lambda x: S @ x, lambda y: St @ y,
-                kind="sparse")
-        m._stored = S
-        return m
-
 
 def estimate_norm(op: LinearMap, tol: float = 1e-12, max_iters: int = 10_000,
                   seed: int = 0) -> NormEstimate:
@@ -295,10 +275,9 @@ def save_triplets(path, op: LinearMap) -> None:
     """Write ``op`` in the triplet text format: `n p nnz` then `i j value`,
     one line per nonzero in row-major order."""
     A = op.matrix if op._stored is None else op._stored
-    if not isinstance(A, np.ndarray):  # a scipy sparse matrix
-        C = A.tocoo(copy=True)
-        C.sum_duplicates()  # canonical: row-major, one entry per position
-        keep = C.data != 0
+    if not isinstance(A, np.ndarray):  # a canonical CSR copy: row-major
+        C = A.tocoo()
+        keep = C.data != 0  # a unit-norm rescaling can underflow an entry
         i, j, v = C.row[keep], C.col[keep], C.data[keep]
     else:
         i, j = np.nonzero(A)
@@ -314,7 +293,10 @@ def save_triplets(path, op: LinearMap) -> None:
 
 
 def load_triplets(path) -> LinearMap:
-    """Read the triplet text format written by :func:`save_triplets`."""
+    """Read the triplet text format written by :func:`save_triplets` into
+    :meth:`LinearMap.from_dense` of the array it describes, repeated
+    ``(i, j)`` entries summed, so the size and density rule of
+    ``from_dense`` picks its kernel."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
@@ -325,5 +307,10 @@ def load_triplets(path) -> LinearMap:
     if data.shape != (nnz, 3):
         raise ValueError(f"expected {nnz} lines 'i j value', "
                          f"got an array of shape {data.shape}")
-    return LinearMap.from_triplets(rows, cols, data[:, 0].astype(int),
-                                   data[:, 1].astype(int), data[:, 2])
+    i, j = data[:, 0].astype(int), data[:, 1].astype(int)
+    if nnz and (i.min() < 0 or j.min() < 0
+                or i.max() >= rows or j.max() >= cols):
+        raise ValueError(f"an index lies outside the {rows}x{cols} matrix")
+    A = np.zeros((rows, cols))
+    np.add.at(A, (i, j), data[:, 2])
+    return LinearMap.from_dense(A)

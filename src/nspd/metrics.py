@@ -18,7 +18,7 @@ iterate) from the merged methods, ``Kx`` from the equality-constrained
 one, and ``w`` with ``resid`` (K x + B w - b) from the semi-strong scheme;
 the baselines hand over none.  A recorder accepts every product keyword,
 uses those it can, and computes a product it needs but was not given.  It
-returns the gap (the driver's ``tol`` stop compares it) or None.
+returns nothing.
 """
 
 from __future__ import annotations
@@ -164,7 +164,6 @@ def composite_recorder(problem: CompositeProblem, trace: Trace):
                 G = float(fv + g_conj(y)) if math.isfinite(fv) else math.inf
             gap = F + G
         trace.append(k, F, G, gap, math.nan, t)
-        return gap
 
     return record
 
@@ -176,7 +175,6 @@ def constrained_recorder(problem, trace: Trace):
         feas = (problem.feasibility(x) if Kx is None
                 else float(np.linalg.norm(Kx - problem.b)))
         trace.append(k, problem.objective(x), math.nan, math.nan, feas, t)
-        return None
 
     return record
 
@@ -188,7 +186,6 @@ def semistrong_recorder(problem, trace: Trace):
         feas = (problem.feasibility(x, w) if resid is None
                 else float(np.linalg.norm(resid)))
         trace.append(k, problem.objective(x, w), math.nan, math.nan, feas, t)
-        return None
 
     return record
 
@@ -203,7 +200,6 @@ def game_recorder(game: MatrixGame, trace: Trace):
         F = game.primal_value(x)
         G = game.dual_value(y)
         trace.append(k, F, G, F + G, float("nan"), t)
-        return F + G
 
     return record
 

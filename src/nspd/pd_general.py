@@ -78,7 +78,8 @@ class GeneralSchedule:
 
 @dataclass
 class GeneralOptions:
-    """Options for :func:`solve` and :func:`solve_constrained`.
+    """Options for :func:`solve` and :func:`solve_constrained`, which run
+    exactly ``max_iters`` steps.
 
     rho0 may be the string "auto", which means 1/||K||; the rule balanced
     by a reference pair is :func:`resolve_rho0` with that pair.
@@ -89,7 +90,6 @@ class GeneralOptions:
     rho0: Union[float, str] = "auto"
     max_iters: int = 1000
     trace_every: Union[int, str] = 1
-    tol: Optional[float] = None  # stop on a recorded gap <= tol; off by default
 
 
 def resolve_rho0(rho0, gamma, norm_K, x0=None, y0=None, x_ref=None, y_ref=None):
@@ -293,7 +293,7 @@ def solve(problem: CompositeProblem, x0, y0, opts: GeneralOptions, recorder=None
     Returns the final :class:`PDState` and the schedule.  ``recorder`` (if
     given) is called as ``recorder(k, x, y, t, Kx=K x, Kty=K^T y)`` with the
     non-ergodic primal iterate and the averaged dual iterate at the trace
-    cadence; a returned value at or below ``opts.tol`` stops the run.
+    cadence.
     """
     sched = _schedule(problem, opts)
     state = init_state(problem, x0, y0)
@@ -301,21 +301,19 @@ def solve(problem: CompositeProblem, x0, y0, opts: GeneralOptions, recorder=None
         state.Kt_ybar = np.zeros(problem.p)  # see PDState
     state = run(lambda s: step(s, problem, sched), state, opts.max_iters,
                 opts.trace_every, recorder,
-                lambda s: (s.x, s.y_bar, {"Kx": s.K_x, "Kty": s.Kt_ybar}),
-                opts.tol)
+                lambda s: (s.x, s.y_bar, {"Kx": s.K_x, "Kty": s.Kt_ybar}))
     return state, sched
 
 
 def solve_constrained(problem: EqConstrainedProblem, x0, y0, opts: GeneralOptions,
                       recorder=None):
     """Run :func:`step` on f + indicator_{b}(Kx) with ``problem.psi`` as
-    the smooth term; the recorder gets ``Kx=K x``, and ``opts.tol``
-    applies to what it returns."""
+    the smooth term; the recorder gets ``Kx=K x``."""
     composite = CompositeProblem(problem.f, point_indicator(problem.b),
                                  problem.K)
     sched = _schedule(problem, opts)
     state = init_state(composite, x0, y0)
     state = run(lambda s: step(s, composite, sched, psi=problem.psi), state,
                 opts.max_iters, opts.trace_every, recorder,
-                lambda s: (s.x, s.y_bar, {"Kx": s.K_x}), opts.tol)
+                lambda s: (s.x, s.y_bar, {"Kx": s.K_x}))
     return state, sched

@@ -116,14 +116,28 @@ _SMALL_LAD = {"kind": "lad", "n": 15, "p": 6, "s": 2, "seed": 4}
     (_SMALL_LAD, {"method": "cp", "rho": 1.0, "beta": 10.0},
      "rho*beta*||K||^2 = 319.256 exceeds 1"),
     (_SMALL_LAD, {"method": "cp_scvx"}, "needs f.mu > 0"),
-    (_SMALL_LAD, {"method": "cp", "beta": -1}, "beta must be positive, got -1"),
-    (_SMALL_LAD, {"method": "cp", "rho": 0}, "rho must be positive, got 0"),
-    (_SMALL_LAD, {"method": "admm", "rho": 0}, "rho must be positive, got 0"),
-    (_SMALL_LAD, {"method": "cp", "rho": -1}, "rho must be positive, got -1"),
+    (_SMALL_LAD, {"method": "cp", "beta": -1},
+     "beta must be a positive number, got -1"),
+    (_SMALL_LAD, {"method": "cp", "rho": 0},
+     "rho must be a positive number, got 0"),
+    (_SMALL_LAD, {"method": "admm", "rho": 0},
+     "rho must be a positive number, got 0"),
+    (_SMALL_LAD, {"method": "cp", "rho": -1},
+     "rho must be a positive number, got -1"),
     (_SMALL_LAD, {"method": "pd_general", "trace_every": 0},
      "trace_every must be 'log' or a positive integer, got 0"),
     (_SMALL_LAD, {"method": "cp", "max_iters": -1},
-     "max_iters must be a non-negative integer, got -1")])
+     "max_iters must be a non-negative integer, got -1"),
+    (_SMALL_LAD, {"method": "admm", "inner_tol": -1},
+     "inner_tol must be a positive number, got -1"),
+    (_SMALL_LAD, {"method": "admm", "inner_tol": 0},
+     "inner_tol must be a positive number, got 0"),
+    (_SMALL_LAD, {"method": "admm", "inner_max": 0},
+     "inner_max must be a positive integer, got 0"),
+    (_SMALL_LAD, {"method": "cp", "rho": "a"},
+     "rho must be a positive number, got 'a'"),
+    # no run stops early on a gap, so there is no tol to set
+    (_SMALL_LAD, {"method": "pd_general", "tol": 1e-6}, "'tol'")])
 def test_cli_solve_refuses_a_bad_config_as_a_usage_error(problem, solver, named,
                                                         tmp_path, capsys):
     _assert_usage_error({"problem": problem, "solver": solver}, named,

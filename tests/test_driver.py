@@ -261,48 +261,6 @@ def test_smoothing_records_the_log_cadence(rng):
     assert trace.k == old_cadence(k_max, "log")
 
 
-def test_tol_stops_the_run():
-    class State:
-        k = 0
-
-    def advance(s):
-        s.k += 1
-        return s
-
-    seen = []
-
-    def recorder(k, x, y, t, **products):
-        seen.append(k)
-        return 1.0 / k
-
-    state = run(advance, State(), 10_000, 1, recorder,
-                lambda s: (None, None, {}), tol=0.01)
-    assert state.k == 100 and seen[-1] == 100
-    # no tol, or a recorder returning None: the run goes the distance
-    assert run(advance, State(), 500, 1, recorder,
-               lambda s: (None, None, {})).k == 500
-    assert run(advance, State(), 500, 1, lambda *a, **kw: None,
-               lambda s: (None, None, {}), tol=1.0).k == 500
-
-
-def test_constrained_solve_honours_tol():
-    problem = constrained([0])
-    trace = metrics.Trace()
-    rec = metrics.constrained_recorder(problem, trace)
-
-    def feasibility_stop(k, x, y, t, **products):
-        rec(k, x, y, t, **products)
-        return trace.feas[-1]
-
-    opts = pd_general.GeneralOptions(c=1.0, gamma=0.9, rho0=1.0,
-                                     max_iters=ITERS, tol=1e-2)
-    state, _ = pd_general.solve_constrained(problem, np.zeros(80),
-                                            np.zeros(40), opts,
-                                            recorder=feasibility_stop)
-    assert state.k < ITERS
-    assert trace.feas[-1] <= 1e-2 < trace.feas[-2]
-
-
 # -- trace CSV --------------------------------------------------------------------
 
 def csv_writer_bytes(trace, path):

@@ -40,14 +40,9 @@ def test_linearity_random(rng):
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(rhs))
 
 
-@pytest.mark.parametrize("builder", ["dense", "sparse"])
-def test_adjoint_consistency_100_pairs(rng, builder):
-    A = rng.standard_normal((12, 8))
-    if builder == "dense":
-        op = LinearMap.from_dense(A)
-    else:
-        i, j = np.nonzero(A)
-        op = LinearMap.from_triplets(12, 8, i, j, A[i, j])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_adjoint_consistency_100_pairs(rng, storage, monkeypatch):
+    op = _as_map(rng.standard_normal((12, 8)), storage, monkeypatch)
     for _ in range(100):
         u = rng.standard_normal(8)
         w = rng.standard_normal(12)
@@ -246,13 +241,20 @@ def test_norm_dominates_probe_rayleighs(rng):
         assert sigma >= np.linalg.norm(op.apply(u)) / np.linalg.norm(u) - 1e-8
 
 
-def _as_map(A, builder):
+def _keep_csr(monkeypatch):
+    """Make :meth:`LinearMap.from_dense` keep only CSR copies of any array."""
+    monkeypatch.setattr(linop, "_CSR_MIN_ENTRIES", 0)
+    monkeypatch.setattr(linop, "_CSR_MAX_DENSITY", 1.0)
+
+
+def _as_map(A, storage, monkeypatch):
+    """``from_dense(A)`` with the kernel its rule picks ("dense") or with
+    only CSR copies ("csr"), or ``A`` wrapped in callables."""
     A = np.asarray(A, dtype=float)
-    if builder == "dense":
+    if storage == "csr":
+        _keep_csr(monkeypatch)
+    if storage in ("dense", "csr"):
         return LinearMap.from_dense(A)
-    if builder == "sparse":
-        i, j = np.nonzero(A)
-        return LinearMap.from_triplets(A.shape[0], A.shape[1], i, j, A[i, j])
     return LinearMap(A.shape[0], A.shape[1], lambda x: A @ x,
                      lambda y: A.T @ y)
 
@@ -272,12 +274,12 @@ def _norm_cases():
     }
 
 
-@pytest.mark.parametrize("builder", ["dense", "sparse", "custom"])
+@pytest.mark.parametrize("storage", ["dense", "csr", "custom"])
 @pytest.mark.parametrize("case", sorted(_norm_cases()))
-def test_norm_agrees_with_svd(builder, case):
+def test_norm_agrees_with_svd(storage, case, monkeypatch):
     A = _norm_cases()[case]
     sigma = np.linalg.svd(A, compute_uv=False)[0]  # independent dense oracle
-    est = estimate_norm(_as_map(A, builder))
+    est = estimate_norm(_as_map(A, storage, monkeypatch))
     assert est.converged
     assert 1 <= est.iterations <= A.shape[1]
     assert abs(est.value - sigma) <= 1e-13 * sigma
@@ -313,25 +315,29 @@ def _old_triplet_text(op):
         f"{ii} {jj} {float(A[ii, jj])!r}\n" for ii, jj in zip(i, j))
 
 
-def _fixed_triplet_maps():
+def _fixed_triplet_map(kind, monkeypatch):
     A = np.array([[0.1, 0.0, -1e-20, 3.0],
                   [0.0, 0.0, 0.0, 0.0],
                   [1e16, -2.5, 0.0, 1.0 / 3.0],
                   [5e-324, 0.0, 123456789.125, -0.0]])
-    # duplicates are summed; (1, 1) cancels to an explicitly stored zero
-    S = LinearMap.from_triplets(3, 5, [0, 2, 1, 1, 2, 0, 2],
-                                [4, 0, 1, 1, 3, 4, 0],
-                                [0.5, 1e-7, 2.0, -2.0, -7.0, 0.25, 1e22])
-    return {"dense": LinearMap.from_dense(A), "sparse": S}
+    if kind == "dense":
+        return LinearMap.from_dense(A)
+    # only CSR copies, divided by ||A|| in place: 5e-324 underflows to an
+    # entry stored as zero, which the writer must skip
+    _keep_csr(monkeypatch)
+    with np.errstate(under="ignore"):
+        op = LinearMap.from_dense_unit_norm(A)
+    assert np.count_nonzero(op._stored.data) < op._stored.nnz
+    return op
 
 
 @pytest.mark.parametrize("block", [None, 3])
-@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("kind", ["dense", "csr"])
 def test_triplet_bytes_match_original_writer(tmp_path, monkeypatch, kind,
                                              block):
     if block is not None:  # lines split across several write blocks
         monkeypatch.setattr(linop, "_WRITE_BLOCK", block)
-    op = _fixed_triplet_maps()[kind]
+    op = _fixed_triplet_map(kind, monkeypatch)
     path = tmp_path / "m.txt"
     save_triplets(path, op)
     assert path.read_bytes() == _old_triplet_text(op).encode()
@@ -345,9 +351,24 @@ def test_triplet_empty_and_truncated(tmp_path):
     save_triplets(path, LinearMap.from_dense(np.zeros((2, 3))))
     assert path.read_text() == "2 3 0\n"
     assert np.array_equal(load_triplets(path).matrix, np.zeros((2, 3)))
-    path.write_text("2 2 3\n0 0 1.0\n1 1 2.0\n")
-    with pytest.raises(ValueError):
-        load_triplets(path)
+    for text in ("2 2 3\n0 0 1.0\n1 1 2.0\n",  # truncated
+                 "2 2 1\n0 2 1.0\n", "2 2 1\n-1 0 1.0\n"):  # out of range
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_triplets(path)
+
+
+def test_load_triplets_sums_repeated_entries(tmp_path):
+    path = tmp_path / "m.txt"
+    # (0, 4) and (2, 0) are given twice, and the two (1, 1) entries cancel
+    path.write_text("3 5 7\n0 4 0.5\n2 0 1e-07\n1 1 2.0\n1 1 -2.0\n"
+                    "2 3 -7.0\n0 4 0.25\n2 0 1e+22\n")
+    op = load_triplets(path)
+    A = np.zeros((3, 5))
+    A[0, 4], A[2, 0], A[2, 3] = 0.75, 1e-07 + 1e+22, -7.0
+    assert op.kind == "dense" and np.array_equal(op.matrix, A)
+    save_triplets(path, op)
+    assert path.read_text() == "3 5 3\n0 4 0.75\n2 0 1e+22\n2 3 -7.0\n"
 
 
 def test_triplet_roundtrip(tmp_path, rng):
@@ -380,13 +401,12 @@ def _callables_map(A):
 
 
 # each way a map keeps its matrix: an ndarray, CSR copies of a dense array,
-# CSR copies of a sparse matrix, nothing but its products
+# nothing but its products
 @pytest.mark.parametrize("A, wrap", [
     (np.random.default_rng(5).standard_normal((3, 4)), LinearMap.from_dense),
     (_sparse_400(), LinearMap.from_dense),
-    (_sparse_400(), lambda A: LinearMap.from_sparse(sp.csr_matrix(A))),
     (np.random.default_rng(5).standard_normal((3, 4)), _callables_map)],
-    ids=["dense", "csr_dense", "sparse", "callables"])
+    ids=["dense", "csr_dense", "callables"])
 def test_dense_matrix_is_readonly(A, wrap):
     op = wrap(A)
     assert isinstance(op.matrix, np.ndarray)
@@ -450,18 +470,31 @@ print("ok")
 
 
 def test_triplets_in_fresh_interpreter(tmp_path):
-    A = np.array([[0.0, 1.5, 0.0], [-2.0, 0.0, 0.25]])
-    path = tmp_path / "m.txt"
-    save_triplets(path, LinearMap.from_dense(A))
+    # a loaded map multiplies through the kernel from_dense picks: the
+    # lad1-desk K through BLAS, bit for bit as the generated map, with
+    # scipy.sparse never imported; a game-shaped array (2^17 entries or
+    # more, at most 15% nonzero) through CSR copies alone
+    save_triplets(tmp_path / "game.txt", LinearMap.from_dense(_sparse_400()))
     out = _run_fresh("""
 import sys
 import numpy as np
-from nspd.linop import LinearMap, load_triplets
-A = np.array([[0.0, 1.5, 0.0], [-2.0, 0.0, 0.25]])
-assert np.array_equal(load_triplets(sys.argv[1]).matrix, A)
-op = LinearMap.from_triplets(2, 3, [0, 1, 1], [1, 0, 2], [1.5, -2.0, 0.25])
-assert op.kind == "sparse" and np.array_equal(op.matrix, A)
-assert np.array_equal(op.apply(np.ones(3)), A @ np.ones(3))
+from nspd import bench
+from nspd.linop import load_triplets, save_triplets
+K = bench.gen_lad(bench.DESK_LAD)[0].K
+save_triplets(sys.argv[1], K)
+op = load_triplets(sys.argv[1])
+assert "scipy.sparse" not in sys.modules
+rng = np.random.default_rng(7)
+for _ in range(50):
+    x, y = rng.standard_normal(K.cols), rng.standard_normal(K.rows)
+    assert np.array_equal(op.apply(x), K.apply(x))
+    assert np.array_equal(op.adjoint_apply(y), K.adjoint_apply(y))
+game = load_triplets(sys.argv[2])
+import scipy.sparse as sp
+assert sp.issparse(game._stored) and game.kind == "dense"
+rng = np.random.default_rng(41)
+A = np.where(rng.random((400, 400)) < 0.1, rng.uniform(-1.0, 1.0, (400, 400)), 0.0)
+assert np.array_equal(game.matrix, A)
 print("ok")
-""", path)
+""", tmp_path / "lad1.txt", tmp_path / "game.txt")
     assert out.split() == ["ok"]

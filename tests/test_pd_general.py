@@ -400,21 +400,3 @@ def test_resolve_rho0_fallback_without_reference():
 
 def test_resolve_rho0_numeric_passthrough():
     assert pd_general.resolve_rho0(2.5, 0.5, 4.0) == 2.5
-
-
-def test_solve_optional_gap_stop(rng):
-    # with a tol, the driver stops once the recorder reports a small gap
-    from nspd import metrics
-    from nspd.problems import MatrixGame
-
-    A = rng.uniform(-1, 1, (8, 10))
-    K = LinearMap.from_dense(A / np.linalg.svd(A, compute_uv=False)[0])
-    game = MatrixGame(K)
-    problem = game.to_composite()
-    trace = metrics.Trace()
-    opts = pd_general.GeneralOptions(c=2.0, gamma=0.5, rho0=1.0,
-                                  max_iters=200_000, tol=1e-4)
-    state, _ = pd_general.solve(problem, np.full(10, 0.1), np.full(8, 0.125),
-                                opts, recorder=metrics.game_recorder(game, trace))
-    assert state.k < 200_000
-    assert trace.gap[-1] <= 1e-4
