@@ -11,14 +11,13 @@ outputs; which one is recorded is chosen by ``output_mode``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .driver import run
-from .errors import ConfigurationError, check_finite
+from .errors import ConfigurationError, check_finite, check_option
 from .problems import CompositeProblem, MatrixGame
 from .prox import apg, conjugate_prox, project_simplex
 
@@ -42,33 +41,21 @@ __all__ = [
 class BaselineConfig:
     """Options shared by the baseline solvers.
 
-    rho, inner_tol and beta, when given, must be positive numbers and
-    inner_max a positive integer; the fixed-step primal-dual methods
-    require rho * beta * ||K||^2 <= 1.
+    rho and beta, when given, must be positive numbers; the fixed-step
+    primal-dual methods require rho * beta * ||K||^2 <= 1, and ADMM, which
+    has no beta, refuses one.
     """
 
     rho: float = 1.0
     beta: Optional[float] = None  # default: 1/(rho ||K||^2)
-    inner_tol: float = 1e-10
-    inner_max: int = 1000
     output_mode: str = "ergodic"  # "ergodic" | "last_iterate"
     max_iters: int = 1000
     trace_every: int | str = 1
 
     def __post_init__(self):
-        for name in ("rho", "beta", "inner_tol"):
-            value = getattr(self, name)
-            if value is None and name == "beta":  # 1/(rho ||K||^2)
-                continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not value > 0):
-                raise ConfigurationError(
-                    f"{name} must be a positive number, got {value!r}")
-        if (isinstance(self.inner_max, bool)
-                or not isinstance(self.inner_max, (int, np.integer))
-                or self.inner_max < 1):
-            raise ConfigurationError("inner_max must be a positive integer, "
-                                     f"got {self.inner_max!r}")
+        check_option("rho", self.rho)
+        if self.beta is not None:
+            check_option("beta", self.beta)
         if self.output_mode not in ("ergodic", "last_iterate"):
             raise ConfigurationError(
                 f"output_mode must be 'ergodic' or 'last_iterate', "
@@ -169,8 +156,7 @@ def admm_step(state: ADMMState, problem: CompositeProblem,
         # min_x f(x) + (rho/2) ||Kx - target||^2, warm-started at x_k
         x_new = apg(f.prox,
                     lambda x: rho * K.adjoint_apply(K.apply(x) - target),
-                    L, state.x, cfg.inner_tol, cfg.inner_max,
-                    "ADMM x-subproblem")
+                    L, state.x, "ADMM x-subproblem")
     Kx = K.apply(x_new)
     r_new = g.prox(Kx + state.u, 1.0 / rho)
     u_new = state.u + Kx - r_new
@@ -218,6 +204,10 @@ def solve_cp_scvx(problem, x0, y0, cfg: BaselineConfig, recorder=None) -> CPStat
 
 
 def solve_admm(problem, x0, y0, cfg: BaselineConfig, recorder=None) -> ADMMState:
+    """ADMM with penalty ``cfg.rho``; it takes no step beta, so a config
+    that sets one is refused."""
+    if cfg.beta is not None:
+        raise ConfigurationError(f"ADMM takes no beta, got {cfg.beta!r}")
     state = init_admm_state(problem, x0, y0, cfg.rho)
     return _run(lambda s: admm_step(s, problem, cfg), state, cfg, recorder,
                 lambda s: cfg.rho * s.u)

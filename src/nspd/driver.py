@@ -8,11 +8,12 @@ solver state already holds (``Kx``, ``Kty``, or ``w`` and ``resid``, see
 
 from __future__ import annotations
 
+import numbers
 import time
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import check_option
 
 __all__ = ["check_trace_every", "record_cadence", "run"]
 
@@ -20,13 +21,9 @@ __all__ = ["check_trace_every", "record_cadence", "run"]
 def check_trace_every(trace_every):
     """Raise ConfigurationError unless ``trace_every`` is ``"log"`` or a
     positive integer."""
-    if trace_every == "log":
-        return
-    if (isinstance(trace_every, bool)
-            or not isinstance(trace_every, (int, np.integer))
-            or trace_every < 1):
-        raise ConfigurationError("trace_every must be 'log' or a positive "
-                                 f"integer, got {trace_every!r}")
+    if trace_every != "log":
+        check_option("trace_every", trace_every,
+                     "be 'log' or a positive integer", kind=numbers.Integral)
 
 
 def record_cadence(max_iters, trace_every):
@@ -55,10 +52,8 @@ def run(advance, state, max_iters, trace_every, recorder, output):
     is not a non-negative integer, or a bad ``trace_every``, is a
     ConfigurationError, recorded or not.
     """
-    if (isinstance(max_iters, bool)
-            or not isinstance(max_iters, (int, np.integer)) or max_iters < 0):
-        raise ConfigurationError("max_iters must be a non-negative integer, "
-                                 f"got {max_iters!r}")
+    check_option("max_iters", max_iters, "be a non-negative integer",
+                 lambda k: k >= 0, numbers.Integral)
     check_trace_every(trace_every)
     recorded = ((lambda k: False) if recorder is None
                 else record_cadence(max_iters, trace_every))

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -11,6 +12,17 @@ class DimensionMismatchError(ValueError):
 
 class ConfigurationError(ValueError):
     """Solver or schedule parameters violate a required inequality."""
+
+
+def check_option(name, value, rule="be a positive number",
+                 ok=lambda v: v > 0, kind=numbers.Real):
+    """Return ``value`` if it is a ``kind`` (a bool never is) for which
+    ``ok(value)`` holds, else raise :class:`ConfigurationError` saying
+    "<name> must <rule>, got <repr(value)>".  NaN fails every ``ok`` that
+    compares it."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ConfigurationError(f"{name} must {rule}, got {value!r}")
+    return value
 
 
 class DivergenceError(RuntimeError):

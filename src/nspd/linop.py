@@ -307,7 +307,11 @@ def load_triplets(path) -> LinearMap:
     if data.shape != (nnz, 3):
         raise ValueError(f"expected {nnz} lines 'i j value', "
                          f"got an array of shape {data.shape}")
-    i, j = data[:, 0].astype(int), data[:, 1].astype(int)
+    ij = data[:, :2]
+    cut = ij % 1 != 0  # a fractional or nan index
+    if cut.any():
+        raise ValueError(f"index {float(ij[cut][0])!r} is not an integer")
+    i, j = ij.astype(int).T
     if nnz and (i.min() < 0 or j.min() < 0
                 or i.max() >= rows or j.max() >= cols):
         raise ValueError(f"an index lies outside the {rows}x{cols} matrix")

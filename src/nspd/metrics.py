@@ -126,12 +126,20 @@ class Trace:
 
 # -- evaluators ----------------------------------------------------------------
 
-def dual_value(problem: CompositeProblem, y) -> float:
-    """G(y) = f*(-K^T y) + g*(y); +inf when an indicator is violated."""
+def dual_value(problem: CompositeProblem, y, Kty=None) -> float:
+    """G(y) = f*(-K^T y) + g*(y); +inf when an indicator is violated.
+
+    ``Kty``, when given, is K^T y: then f* is tested first, and a +inf
+    spares g*; without it g* is tested first, and a +inf spares the product.
+    """
     f, g, K = problem.f, problem.g, problem.K
     if f.conjugate_value is None or g.conjugate_value is None:
         raise UnsupportedMetricError(
             "dual value needs closed-form conjugates for f and g")
+    if Kty is not None:
+        fv = f.conjugate_value(-Kty)
+        return (float(fv + g.conjugate_value(y)) if math.isfinite(fv)
+                else math.inf)
     gv = g.conjugate_value(y)
     if not np.isfinite(gv):
         return float("inf")
@@ -148,8 +156,8 @@ def composite_recorder(problem: CompositeProblem, trace: Trace):
     and nan when f or g has no closed-form conjugate.
     """
     f, g, K = problem.f, problem.g, problem.K
-    f_conj, g_conj = f.conjugate_value, g.conjugate_value
-    have_conj = f_conj is not None and g_conj is not None
+    have_conj = (f.conjugate_value is not None
+                 and g.conjugate_value is not None)
 
     def record(k, x, y, t, Kx=None, Kty=None, **_):
         if Kx is None:
@@ -157,11 +165,7 @@ def composite_recorder(problem: CompositeProblem, trace: Trace):
         F = f.value(x) + g.value(Kx)
         G = gap = math.nan
         if have_conj:
-            if Kty is None:
-                G = dual_value(problem, y)
-            else:  # G = +inf if f* is: testing it first spares g*
-                fv = f_conj(-Kty)
-                G = float(fv + g_conj(y)) if math.isfinite(fv) else math.inf
+            G = dual_value(problem, y, Kty)
             gap = F + G
         trace.append(k, F, G, gap, math.nan, t)
 

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .driver import run
-from .errors import ConfigurationError, check_finite
+from .errors import check_finite, check_option
 from .problems import CompositeProblem, EqConstrainedProblem
 from .prox import ProxFunction, conjugate_prox, point_indicator
 
@@ -57,12 +57,10 @@ class GeneralSchedule:
     norm_K: float = 1.0
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ConfigurationError("c must satisfy c >= 1")
-        if not 0 < self.gamma < 1:
-            raise ConfigurationError("gamma must lie in (0, 1)")
-        if self.rho0 <= 0 or self.norm_K <= 0:
-            raise ConfigurationError("rho0 and norm_K must be positive")
+        check_option("c", self.c, "satisfy c >= 1", lambda c: c >= 1)
+        check_option("gamma", self.gamma, "lie in (0, 1)", lambda g: 0 < g < 1)
+        check_option("rho0", self.rho0)
+        check_option("norm_K", self.norm_K)
 
     def tau(self, k: int) -> float:
         return self.c / (k + self.c)
@@ -93,9 +91,11 @@ class GeneralOptions:
 
 
 def resolve_rho0(rho0, gamma, norm_K, x0=None, y0=None, x_ref=None, y_ref=None):
-    """Resolve the "auto" initial penalty from a reference pair if given."""
+    """Resolve the "auto" initial penalty from a reference pair if given;
+    any other rho0 must be a positive number."""
     if rho0 != "auto":
-        return float(rho0)
+        return float(check_option("rho0", rho0,
+                                  "be 'auto' or a positive number"))
     if x_ref is not None and y_ref is not None:
         dx = float(np.linalg.norm(np.asarray(x0) - x_ref))
         dy = float(np.linalg.norm(np.asarray(y0) - y_ref))

@@ -23,7 +23,7 @@ ones produced by that elimination, so both forms generate identical iterates
 Kx + Bw = b where only f is strongly convex; the w-subproblem is solved
 rather than linearized: exactly when B is the tagged
 :func:`nspd.problems.neg_identity`, else by the accelerated
-proximal-gradient loop :func:`nspd.prox.apg` to its ``inner_tol``.
+proximal-gradient loop :func:`nspd.prox.apg` to ``nspd.prox.APG_TOL``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import pd_general
 from .driver import run
-from .errors import ConfigurationError, check_finite
+from .errors import ConfigurationError, check_finite, check_option
 from .pd_general import (PDState, RawState, _merged_finish, _split_step,
                          init_split_state)
 from .problems import CompositeProblem, SemiStrongProblem
@@ -68,16 +68,12 @@ class StrongSchedule:
     def __init__(self, case: int, gamma: float, mu_f: float, norm_K: float,
                  rho0: Optional[float] = None, c: float = 4.0,
                  enforce_rho0_bound: bool = True):
-        if case not in (1, 2):
-            raise ConfigurationError("case must be 1 or 2")
-        if not 0.5 < gamma < 1:
-            raise ConfigurationError("gamma must lie in (1/2, 1)")
-        if mu_f <= 0:
-            raise ConfigurationError("mu_f must be positive")
-        if norm_K <= 0:
-            raise ConfigurationError("norm_K must be positive")
-        if case == 2 and c <= 2:
-            raise ConfigurationError("Case 2 requires c > 2")
+        check_option("case", case, "be 1 or 2", lambda v: v in (1, 2))
+        check_option("gamma", gamma, "lie in (1/2, 1)", lambda g: 0.5 < g < 1)
+        check_option("mu_f", mu_f, "be positive")
+        check_option("norm_K", norm_K)
+        check_option("c", c, "be a number above 2 in Case 2",
+                     lambda c: case == 1 or c > 2)
         self.case = case
         self.gamma = float(gamma)
         self.Gamma = 2.0 - 1.0 / self.gamma
@@ -85,9 +81,8 @@ class StrongSchedule:
         self.norm_K = float(norm_K)
         self.c = float(c)
         bound = self.rho0_bound()
-        self.rho0 = bound if rho0 is None else float(rho0)
-        if self.rho0 <= 0:
-            raise ConfigurationError("rho0 must be positive")
+        self.rho0 = (bound if rho0 is None
+                     else float(check_option("rho0", rho0)))
         if enforce_rho0_bound and self.rho0 > bound * (1 + 1e-12):
             ineq = ("rho0 <= Gamma*mu_f/(2*norm_K^2)" if case == 1 else
                     "rho0 <= c*(c-1)*Gamma*mu_f/((2*c-1)*norm_K^2)")
@@ -218,7 +213,7 @@ def init_semistrong_state(problem: SemiStrongProblem, x0, w0, y0) -> SemiStrongS
 
 
 def _solve_w_subproblem(problem: SemiStrongProblem, rho, nu0, K_xhat, w_hat,
-                        y_tilde, w_start, tol, max_inner):
+                        y_tilde, w_start):
     """Minimize psi(w) + <B^T y~, w> + (rho/2)||K x^ + Bw - b||^2
     + (nu0/2)||w - w^||^2, exactly for B = -I, else by inner APG."""
     psi, B, b = problem.psi, problem.B, problem.b
@@ -233,15 +228,13 @@ def _solve_w_subproblem(problem: SemiStrongProblem, rho, nu0, K_xhat, w_hat,
         return (Bt_y + rho * B.adjoint_apply(K_xhat + B.apply(w) - b)
                 + nu0 * (w - w_hat))
 
-    return apg(psi.prox, grad, rho * B.norm ** 2 + nu0, w_start, tol,
-               max_inner, "w-subproblem")
+    return apg(psi.prox, grad, rho * B.norm ** 2 + nu0, w_start,
+               "w-subproblem")
 
 
 def semistrong_step(state: SemiStrongState, problem: SemiStrongProblem,
-                    sched: StrongSchedule, *, inner_tol: float = 1e-10,
-                    inner_max: int = 500) -> SemiStrongState:
-    """One iteration of the semi-strongly convex constrained scheme; an
-    inner w-solve stops at ``inner_tol`` within ``inner_max`` steps."""
+                    sched: StrongSchedule) -> SemiStrongState:
+    """One iteration of the semi-strongly convex constrained scheme."""
     k = state.k
     tau, rho, beta, eta = sched.at(k)
     tau_next = sched.tau(k + 1)
@@ -250,8 +243,7 @@ def semistrong_step(state: SemiStrongState, problem: SemiStrongProblem,
 
     K_xhat = K.apply(state.x_hat)
     w_new = _solve_w_subproblem(problem, rho, nu0, K_xhat, state.w_hat,
-                                state.y_tilde, state.w,
-                                inner_tol, inner_max)
+                                state.y_tilde, state.w)
     y_new = state.y_tilde + rho * (K_xhat + B.apply(w_new) - b)
     Kt_y = K.adjoint_apply(y_new)
 
@@ -302,17 +294,12 @@ def solve(problem: CompositeProblem, x0, y0, opts: StrongOptions, recorder=None)
 
 
 def solve_semistrong(problem: SemiStrongProblem, x0, w0, y0,
-                     opts: StrongOptions, recorder=None, *,
-                     inner_tol: float = 1e-10, inner_max: int = 500):
+                     opts: StrongOptions, recorder=None):
     """Run the semi-strongly convex constrained scheme; the recorder gets
-    ``w`` and the constraint residual ``resid = K x + B w - b``.  The inner
-    w-solves take ``inner_tol`` and ``inner_max`` as
-    :func:`semistrong_step` does."""
+    ``w`` and the constraint residual ``resid = K x + B w - b``."""
     sched = _make_schedule(problem.f.mu, problem.K.norm, opts)
     state = init_semistrong_state(problem, x0, w0, y0)
-    state = run(lambda s: semistrong_step(s, problem, sched,
-                                          inner_tol=inner_tol,
-                                          inner_max=inner_max), state,
+    state = run(lambda s: semistrong_step(s, problem, sched), state,
                 opts.max_iters, opts.trace_every, recorder,
                 lambda s: (s.x, s.y_bar, {"w": s.w, "resid": s.resid}))
     return state, sched

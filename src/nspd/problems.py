@@ -81,9 +81,9 @@ class SemiStrongProblem:
 
     The w-subproblem takes one prox of psi when B is the tagged
     :func:`neg_identity`; for any other B it runs the accelerated
-    proximal-gradient loop :func:`nspd.prox.apg` to the ``inner_tol`` of
-    :func:`nspd.pd_strong.semistrong_step` on the gradient-mapping norm, for
-    at most its ``inner_max`` steps.
+    proximal-gradient loop :func:`nspd.prox.apg` to ``nspd.prox.APG_TOL``
+    on the gradient-mapping norm, for at most ``nspd.prox.APG_MAX_STEPS``
+    steps.
     """
 
     f: ProxFunction

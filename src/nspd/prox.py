@@ -9,7 +9,8 @@ has one (a clip or a projection, cheaper than the detour through the primal
 prox) and otherwise derives it from the primal prox through the Moreau
 decomposition; the tests cross-check every closed form against that
 derivation.  :func:`apg` is the accelerated proximal-gradient inner loop
-that ADMM's x-step and the semi-strong w-step share.
+that ADMM's x-step and the semi-strong w-step share; its stopping policy is
+the module constants ``APG_TOL`` and ``APG_MAX_STEPS``, read at each call.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ __all__ = [
 ]
 
 FEAS_TOL = 1e-9  # indicator membership tolerance for value()
+APG_TOL = 1e-10  # apg's gradient-mapping norm at which it stops
+APG_MAX_STEPS = 1000  # apg's step cap, past which it raises
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,14 @@ def conjugate_prox(h: ProxFunction, v: np.ndarray, rho: float) -> np.ndarray:
     return v - rho * h.prox(v / rho, 1.0 / rho)
 
 
-def apg(prox, grad, L, x0, tol, max_inner, what):
+def apg(prox, grad, L, x0, what):
     """min_x h(x) + s(x) by accelerated proximal gradient from ``x0``.
 
     ``prox(v, step)`` is the prox of h, ``grad`` the gradient of the smooth
     s and ``L`` its Lipschitz constant.  Returns the first iterate whose
     gradient-mapping norm ``L ||x - prox(x - grad(x)/L, 1/L)||`` is at most
-    ``tol``, checked before each of at most ``max_inner`` steps and once
-    after the last; otherwise raises :class:`InnerSolverError` naming
+    ``APG_TOL``, checked before each of at most ``APG_MAX_STEPS`` steps and
+    once after the last; otherwise raises :class:`InnerSolverError` naming
     ``what``.
     """
 
@@ -114,15 +117,15 @@ def apg(prox, grad, L, x0, tol, max_inner, what):
     x = np.array(x0, dtype=float)
     z = x.copy()
     t = 1.0
-    for _ in range(max_inner):
-        if mapping_norm(x) <= tol:
+    for _ in range(APG_MAX_STEPS):
+        if mapping_norm(x) <= APG_TOL:
             return x
         x_next = prox(z - grad(z) / L, 1.0 / L)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = x_next + ((t - 1.0) / t_next) * (x_next - x)
         x, t = x_next, t_next
     res = mapping_norm(x)
-    if res <= tol:
+    if res <= APG_TOL:
         return x
     raise InnerSolverError(f"{what} APG did not converge", res)
 

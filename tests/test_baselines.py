@@ -135,8 +135,9 @@ def test_admm_zero_instance_stationary():
     assert np.array_equal(state.x, np.ones(p))
 
 
-def test_admm_x_step_that_runs_out_of_steps_raises(rng):
-    cfg = BaselineConfig(rho=1.0, inner_max=1, max_iters=5)
+def test_admm_x_step_that_runs_out_of_steps_raises(rng, monkeypatch):
+    monkeypatch.setattr(prox, "APG_MAX_STEPS", 1)
+    cfg = BaselineConfig(rho=1.0, max_iters=5)
     with pytest.raises(InnerSolverError, match="ADMM x-subproblem"):
         solve_admm(lad_instance(rng), np.zeros(12), np.zeros(30), cfg)
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nspd import bench, cli, metrics, pd_general
+from nspd import bench, cli, metrics, pd_general, prox
 from nspd.bench import GameConfig
 from nspd.errors import DivergenceError
 
@@ -98,6 +98,7 @@ def test_cli_run_refuses_a_bad_option_as_a_usage_error(option, quantity,
 
 
 _SMALL_LAD = {"kind": "lad", "n": 15, "p": 6, "s": 2, "seed": 4}
+_STRONG_LAD = _SMALL_LAD | {"mu_f": 0.1}
 
 
 @pytest.mark.parametrize("problem, solver, named", [
@@ -128,16 +129,33 @@ _SMALL_LAD = {"kind": "lad", "n": 15, "p": 6, "s": 2, "seed": 4}
      "trace_every must be 'log' or a positive integer, got 0"),
     (_SMALL_LAD, {"method": "cp", "max_iters": -1},
      "max_iters must be a non-negative integer, got -1"),
-    (_SMALL_LAD, {"method": "admm", "inner_tol": -1},
-     "inner_tol must be a positive number, got -1"),
-    (_SMALL_LAD, {"method": "admm", "inner_tol": 0},
-     "inner_tol must be a positive number, got 0"),
-    (_SMALL_LAD, {"method": "admm", "inner_max": 0},
-     "inner_max must be a positive integer, got 0"),
+    # the inner solve's policy is prox.APG_TOL/APG_MAX_STEPS, not a key
+    (_SMALL_LAD, {"method": "admm", "inner_tol": -1}, "'inner_tol'"),
+    (_SMALL_LAD, {"method": "admm", "inner_tol": 0}, "'inner_tol'"),
+    (_SMALL_LAD, {"method": "admm", "inner_max": 0}, "'inner_max'"),
     (_SMALL_LAD, {"method": "cp", "rho": "a"},
      "rho must be a positive number, got 'a'"),
     # no run stops early on a gap, so there is no tol to set
-    (_SMALL_LAD, {"method": "pd_general", "tol": 1e-6}, "'tol'")])
+    (_SMALL_LAD, {"method": "pd_general", "tol": 1e-6}, "'tol'"),
+    # a value that is not a number is refused before the first step
+    (_SMALL_LAD, {"method": "pd_general", "c": "x"},
+     "c must satisfy c >= 1, got 'x'"),
+    (_SMALL_LAD, {"method": "pd_general", "gamma": None},
+     "gamma must lie in (0, 1), got None"),
+    (_SMALL_LAD, {"method": "pd_general", "rho0": "x"},
+     "rho0 must be 'auto' or a positive number, got 'x'"),
+    (_STRONG_LAD, {"method": "pd_strong", "gamma": "x"},
+     "gamma must lie in (1/2, 1), got 'x'"),
+    (_STRONG_LAD, {"method": "pd_strong", "case": 2, "c": "x"},
+     "c must be a number above 2 in Case 2, got 'x'"),
+    (_STRONG_LAD, {"method": "pd_strong", "rho0": "fast"},
+     "rho0 must be a positive number, got 'fast'"),
+    # ADMM has no step beta to set
+    (_SMALL_LAD, {"method": "admm", "beta": 0.1},
+     "ADMM takes no beta, got 0.1"),
+    (_SMALL_LAD, {"method": "cp", "inner_tol": 1e-8}, "'inner_tol'"),
+    (_SMALL_LAD, {"method": "cp", "rho": float("nan")},
+     "rho must be a positive number, got nan")])
 def test_cli_solve_refuses_a_bad_config_as_a_usage_error(problem, solver, named,
                                                         tmp_path, capsys):
     _assert_usage_error({"problem": problem, "solver": solver}, named,
@@ -220,10 +238,12 @@ def test_cli_solve_reports_divergence(tmp_path, capsys):
     assert tr.k == [1]  # the record made before the failing step
 
 
-def test_cli_solve_reports_inner_solver_failure(tmp_path, capsys):
+def test_cli_solve_reports_inner_solver_failure(tmp_path, capsys,
+                                                monkeypatch):
     # one inner iteration cannot reach a 1e-300 gradient-mapping norm
-    code = _solve(tmp_path, {"method": "admm", "rho": 1.0, "max_iters": 30,
-                             "inner_max": 1, "inner_tol": 1e-300})
+    monkeypatch.setattr(prox, "APG_TOL", 1e-300)
+    monkeypatch.setattr(prox, "APG_MAX_STEPS", 1)
+    code = _solve(tmp_path, {"method": "admm", "rho": 1.0, "max_iters": 30})
     assert code == 5
     assert "inner solver failure" in capsys.readouterr().err
     tr = metrics.Trace.from_csv(tmp_path / "trace.csv")

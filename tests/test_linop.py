@@ -358,6 +358,17 @@ def test_triplet_empty_and_truncated(tmp_path):
             load_triplets(path)
 
 
+@pytest.mark.parametrize("text, bad", [("2 2 1\n0.7 1 1.5\n", "0.7"),
+                                       ("2 2 1\n0 1.5 1.5\n", "1.5"),
+                                       ("2 2 1\n0 nan 1.5\n", "nan")])
+def test_load_triplets_refuses_a_fractional_index(tmp_path, text, bad):
+    # a cast to int would load 0.7 as row 0
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"index {bad} is not an integer"):
+        load_triplets(path)
+
+
 def test_load_triplets_sums_repeated_entries(tmp_path):
     path = tmp_path / "m.txt"
     # (0, 4) and (2, 0) are given twice, and the two (1, 1) entries cancel

@@ -238,7 +238,7 @@ def test_w_subproblem_apg_matches_closed_form(rng):
     assert np.linalg.norm(s1.x - s2.x) <= 1e-7
 
 
-def test_w_subproblem_apg_matches_a_linear_solve(rng):
+def test_w_subproblem_apg_matches_a_linear_solve(rng, monkeypatch):
     # psi = (m/2)||w||^2 and a dense B with fewer rows than columns: the
     # w-subproblem's minimizer solves
     #   ((m + nu0) I + rho B^T B) w = nu0 w^ - B^T y~ - rho B^T (K x^ - b).
@@ -260,7 +260,9 @@ def test_w_subproblem_apg_matches_a_linear_solve(rng):
     rhs = nu0 * w0 - Bm.T @ y0 - rho * Bm.T @ (K.apply(x0) - b)
     w_star = np.linalg.solve(A, rhs)
     state = init_semistrong_state(problem, x0, w0, y0)
-    semistrong_step(state, problem, sched, inner_tol=1e-12, inner_max=20_000)
+    monkeypatch.setattr(prox, "APG_TOL", 1e-12)
+    monkeypatch.setattr(prox, "APG_MAX_STEPS", 20_000)
+    semistrong_step(state, problem, sched)
     assert np.linalg.norm(state.w - w_star) <= 1e-9 * np.linalg.norm(w_star)
 
 
@@ -293,7 +295,7 @@ def test_semistrong_step_reuses_the_residual(rng):
     assert calls == {"fwd": 20, "adj": 10}  # K x^ and K x_{k+1} per step
 
 
-def test_w_subproblem_apg_that_runs_out_of_steps_raises(rng):
+def test_w_subproblem_apg_that_runs_out_of_steps_raises(rng, monkeypatch):
     K = LinearMap.from_dense(rng.standard_normal((4, 5)))
     B = LinearMap.from_dense(rng.standard_normal((4, 3)))
     general = SemiStrongProblem(prox.elastic_net(5, 0.1, 0.2),
@@ -301,8 +303,9 @@ def test_w_subproblem_apg_that_runs_out_of_steps_raises(rng):
     sched = StrongSchedule(1, 0.75, mu_f=0.2, norm_K=K.norm)
     state = init_semistrong_state(general, np.zeros(5), np.zeros(3),
                                   np.zeros(4))
+    monkeypatch.setattr(prox, "APG_MAX_STEPS", 1)
     with pytest.raises(InnerSolverError, match="w-subproblem APG"):
-        semistrong_step(state, general, sched, inner_max=1)
+        semistrong_step(state, general, sched)
 
 
 def test_semistrong_feasible_saddle_is_nearly_fixed(rng):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from nspd import prox
 from nspd.prox import (_soft, apg, conjugate_prox, elastic_net, l1_norm,
                        l1_shifted, point_indicator, project_simplex,
                        quadratic, simplex_indicator, simplex_support,
@@ -268,11 +269,13 @@ def test_simplex_projection_grid_oracle():
     assert np.sum((u - v) ** 2) <= d.min() + 1e-9
 
 
-def test_apg_reaches_the_prox_of_a_quadratic(rng):
+def test_apg_reaches_the_prox_of_a_quadratic(rng, monkeypatch):
     # min lam ||x||_1 + (1/2) ||x - c||^2 is the soft-threshold of c
+    monkeypatch.setattr(prox, "APG_TOL", 1e-12)
+    monkeypatch.setattr(prox, "APG_MAX_STEPS", 100)
     c = rng.standard_normal(6)
     h = l1_norm(6, 0.3)
-    x = apg(h.prox, lambda x: x - c, 1.0, np.zeros(6), 1e-12, 100, "test")
+    x = apg(h.prox, lambda x: x - c, 1.0, np.zeros(6), "test")
     assert np.allclose(x, _soft(c, 0.3), atol=1e-12)
 
 
