@@ -23,7 +23,7 @@ import numpy as np
 
 from . import baselines, metrics, pd_general, pd_strong
 from .driver import check_trace_every
-from .errors import OracleFailureError
+from .errors import OracleFailureError, check_option
 from .linop import LinearMap, save_triplets
 from .problems import CompositeProblem, MatrixGame
 from .prox import elastic_net, l1_norm, l1_shifted
@@ -151,16 +151,19 @@ def gen_game(cfg: GameConfig) -> MatrixGame:
         seed += 1  # all-zero draw: retry with the next seed
     K.fill(0.0)
     K[mask] = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
-    # sigma is converged to 1e-14, so K / sigma has unit norm to that
-    # accuracy: no second estimate is needed
-    return MatrixGame(LinearMap.from_dense_unit_norm(
-        K, tol=1e-14, max_iters=50_000, seed=0))
+    # from_dense_unit_norm converges sigma to 1e-14, so K / sigma has unit
+    # norm to that accuracy: no second estimate is needed
+    return MatrixGame(LinearMap.from_dense_unit_norm(K))
 
 
 # -- experiment harness -------------------------------------------------------------
 
 @dataclass
 class ExperimentSpec:
+    """One ``nspd run``.  ``epsilon``, the accuracy of the game's smoothed
+    baseline, is read by the game alone: it takes 1e-3 when None, and the
+    LAD experiments refuse it when set."""
+
     name: str  # lad-case1 | lad-case2 | game
     scale: str = "desk"  # desk | paper
     seed: int = 0
@@ -168,7 +171,7 @@ class ExperimentSpec:
     trace_every: int | str = 1
     out_dir: str = "runs"
     check: bool = False
-    epsilon: float = 1e-3  # smoothing accuracy for the game experiment
+    epsilon: Optional[float] = None
 
     def __post_init__(self):
         if self.name not in EXPERIMENTS:
@@ -179,6 +182,12 @@ class ExperimentSpec:
         check_trace_every(self.trace_every)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
+        if self.name == "game" and self.epsilon is None:
+            self.epsilon = 1e-3
+        elif self.epsilon is not None:
+            check_option("epsilon", self.epsilon, "be unset outside the game "
+                         "and a positive number in it",
+                         lambda e: self.name == "game" and e > 0)
 
 
 @dataclass

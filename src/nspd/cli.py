@@ -117,7 +117,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--check", action="store_true",
                        help="exit 2 when a certificate is violated or a "
                        "certified variant fails to run")
-    p_run.add_argument("--epsilon", type=float, default=1e-3)
+    p_run.add_argument("--epsilon", type=float,
+                       help="the game's smoothing accuracy (default 1e-3)")
     p_run.set_defaults(fn=_cmd_run, parser=p_run)
 
     p_solve = sub.add_parser("solve", help="solve an ad-hoc problem from a config")

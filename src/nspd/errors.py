@@ -16,11 +16,12 @@ class ConfigurationError(ValueError):
 
 def check_option(name, value, rule="be a positive number",
                  ok=lambda v: v > 0, kind=numbers.Real):
-    """Return ``value`` if it is a ``kind`` (a bool never is) for which
-    ``ok(value)`` holds, else raise :class:`ConfigurationError` saying
-    "<name> must <rule>, got <repr(value)>".  NaN fails every ``ok`` that
-    compares it."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+    """Return ``value`` if it is a ``kind`` (a bool is one exactly when
+    ``kind`` is ``bool``) for which ``ok(value)`` holds, else raise
+    :class:`ConfigurationError` saying "<name> must <rule>, got
+    <repr(value)>".  NaN fails every ``ok`` that compares it."""
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, kind) or not ok(value)):
         raise ConfigurationError(f"{name} must {rule}, got {value!r}")
     return value
 

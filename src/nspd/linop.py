@@ -46,6 +46,9 @@ __all__ = [
 _CSR_MIN_ENTRIES = 1 << 17
 _CSR_MAX_DENSITY = 0.15
 
+LANCZOS_SEED = 0  # draws estimate_norm's start vector
+LANCZOS_MAX_STEPS = 10_000  # estimate_norm's step cap, past which it warns
+
 
 def _prefers_csr(A: np.ndarray) -> bool:
     """Whether products with the dense array ``A`` are faster through CSR."""
@@ -174,19 +177,18 @@ class LinearMap:
         return cls._dense_map(A, csr, norm_estimate)
 
     @classmethod
-    def from_dense_unit_norm(cls, A, **estimate_kwargs) -> "LinearMap":
+    def from_dense_unit_norm(cls, A) -> "LinearMap":
         """Wrap ``A / sigma`` with norm estimate 1, where ``sigma`` is
-        ``estimate_norm(from_dense(A), **estimate_kwargs).value``.
+        ``estimate_norm(from_dense(A), tol=1e-14).value``.
 
         What :meth:`from_dense` would keep (a copy of ``A``, or only its CSR
         copies) is built once: the estimate runs on it, then it is divided
         by ``sigma`` in place.  ``matrix`` and the products are therefore
         those of ``from_dense(A / sigma)`` bit for bit.  The stored norm is
-        exactly 1, so ``estimate_kwargs`` should converge the estimate
-        tightly.
+        exactly 1, which the tight ``tol`` makes true to that accuracy.
         """
         A, csr = _storage(A)
-        sigma = estimate_norm(cls._dense_map(A, csr), **estimate_kwargs).value
+        sigma = estimate_norm(cls._dense_map(A, csr), tol=1e-14).value
         if sigma == 0.0:
             raise ValueError("the zero matrix has no unit-norm rescaling")
         if A is not None:
@@ -220,8 +222,7 @@ class LinearMap:
         return m
 
 
-def estimate_norm(op: LinearMap, tol: float = 1e-12, max_iters: int = 10_000,
-                  seed: int = 0) -> NormEstimate:
+def estimate_norm(op: LinearMap, tol: float = 1e-12) -> NormEstimate:
     """Lanczos estimate of the largest singular value of ``op``.
 
     Runs the Lanczos iteration on K^T K with full reorthogonalisation and
@@ -230,19 +231,20 @@ def estimate_norm(op: LinearMap, tol: float = 1e-12, max_iters: int = 10_000,
     product, and ``iterations`` counts them.  Stops when the Ritz residual
     bound beta_k |s_k| drops to ``tol`` times the Ritz value, on breakdown
     (an invariant Krylov subspace), or when the Krylov dimension reaches
-    ``op.cols``.  Deterministic under ``seed``.  Non-convergence within
-    ``max_iters`` steps returns the last estimate and emits a warning rather
-    than failing silently.
+    ``op.cols``.  The start vector is drawn from ``LANCZOS_SEED``, so the
+    estimate is deterministic.  Non-convergence within ``LANCZOS_MAX_STEPS``
+    steps returns the last estimate and emits a warning rather than failing
+    silently.  Both constants are read at each call.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LANCZOS_SEED)
     v = rng.standard_normal(op.cols)
     v /= np.linalg.norm(v)
     V = v[None, :]  # orthonormal Krylov basis, one row per step
     alpha, beta = [], []
     theta = 0.0
-    for k in range(1, max_iters + 1):
+    for k in range(1, LANCZOS_MAX_STEPS + 1):
         w = op.adjoint_apply(op.apply(v))
         alpha.append(float(v @ w))
         # full reorthogonalisation, twice: removes the three-term recurrence
@@ -261,9 +263,9 @@ def estimate_norm(op: LinearMap, tol: float = 1e-12, max_iters: int = 10_000,
         v = w / b
         V = np.vstack([V, v])
     warnings.warn(
-        f"Lanczos did not converge in {max_iters} iterations "
+        f"Lanczos did not converge in {LANCZOS_MAX_STEPS} iterations "
         f"(last estimate {np.sqrt(theta):.6e})", RuntimeWarning)
-    return NormEstimate(float(np.sqrt(theta)), False, max_iters)
+    return NormEstimate(float(np.sqrt(theta)), False, LANCZOS_MAX_STEPS)
 
 
 # -- text persistence ------------------------------------------------------

@@ -60,26 +60,36 @@ __all__ = [
 class StrongSchedule:
     """Parameter sequences for the strongly convex method.
 
-    Case 1 maintains tau by its recursion (the closed form does not exist);
-    Case 2 uses tau_k = c/(k+c).  Either way rho_k beta_k ||K||^2 = Gamma and
-    eta_k = (1-gamma) rho_k < rho_k.
+    Case 1 maintains tau by its recursion (the closed form does not exist)
+    and refuses a ``c``, which it would not read; Case 2 uses tau_k =
+    c/(k+c), with c = 4 when ``c`` is None.  Either way rho_k beta_k ||K||^2
+    = Gamma and eta_k = (1-gamma) rho_k < rho_k.  ``enforce_rho0_bound``,
+    True or False, says whether a ``rho0`` above :meth:`rho0_bound` is
+    refused.
     """
 
     def __init__(self, case: int, gamma: float, mu_f: float, norm_K: float,
-                 rho0: Optional[float] = None, c: float = 4.0,
+                 rho0: Optional[float] = None, c: Optional[float] = None,
                  enforce_rho0_bound: bool = True):
         check_option("case", case, "be 1 or 2", lambda v: v in (1, 2))
         check_option("gamma", gamma, "lie in (1/2, 1)", lambda g: 0.5 < g < 1)
         check_option("mu_f", mu_f, "be positive")
         check_option("norm_K", norm_K)
-        check_option("c", c, "be a number above 2 in Case 2",
-                     lambda c: case == 1 or c > 2)
+        if case == 2:
+            c = float(check_option("c", 4.0 if c is None else c,
+                                   "be a number above 2 in Case 2",
+                                   lambda c: c > 2))
+        elif c is not None:
+            raise ConfigurationError(
+                f"c must be unset in Case 1, whose tau has no c, got {c!r}")
+        check_option("enforce_rho0_bound", enforce_rho0_bound,
+                     "be true or false", lambda v: True, bool)
         self.case = case
         self.gamma = float(gamma)
         self.Gamma = 2.0 - 1.0 / self.gamma
         self.mu_f = float(mu_f)
         self.norm_K = float(norm_K)
-        self.c = float(c)
+        self.c = c
         bound = self.rho0_bound()
         self.rho0 = (bound if rho0 is None
                      else float(check_option("rho0", rho0)))
@@ -115,10 +125,13 @@ class StrongSchedule:
 
 @dataclass
 class StrongOptions:
+    """What :func:`solve` and :func:`solve_semistrong` run; the schedule's
+    fields are checked by :class:`StrongSchedule` as the solve starts."""
+
     case: int = 1
     gamma: float = 0.75
     rho0: Optional[float] = None  # None picks the largest admissible value
-    c: float = 4.0
+    c: Optional[float] = None  # Case 2 only; None reads 4
     max_iters: int = 1000
     trace_every: Union[int, str] = 1
     enforce_rho0_bound: bool = True

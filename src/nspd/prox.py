@@ -34,7 +34,6 @@ __all__ = [
     "simplex_indicator",
     "simplex_support",
     "squared_l2",
-    "quadratic",
     "zero",
     "project_simplex",
 ]
@@ -304,32 +303,6 @@ def squared_l2(dim: int, weight: float = 1.0) -> ProxFunction:
     return ProxFunction(dim, value, prox, mu=weight, smooth_lipschitz=weight,
                         gradient=gradient, conjugate_value=conj,
                         kind="squared_l2", params={"w": weight})
-
-
-def quadratic(Q: np.ndarray, q: np.ndarray | None = None) -> ProxFunction:
-    """psi(x) = 0.5 x^T Q x + <q, x> for symmetric positive semidefinite Q."""
-    Q = np.asarray(Q, dtype=float)
-    dim = Q.shape[0]
-    q = np.zeros(dim) if q is None else np.asarray(q, dtype=float)
-    eigs = np.linalg.eigvalsh(Q)
-    if eigs[0] < -1e-10:
-        raise ValueError("Q must be positive semidefinite")
-    L = float(eigs[-1])
-    mu = max(float(eigs[0]), 0.0)
-
-    def value(x):
-        return 0.5 * float(x @ (Q @ x)) + float(q @ x)
-
-    def prox(v, step):
-        A = np.eye(dim) + step * Q
-        return np.linalg.solve(A, np.asarray(v, dtype=float) - step * q)
-
-    def gradient(x):
-        return Q @ np.asarray(x, dtype=float) + q
-
-    return ProxFunction(dim, value, prox, mu=mu, smooth_lipschitz=L,
-                        gradient=gradient, kind="quadratic",
-                        params={"Q": Q, "q": q})
 
 
 def zero(dim: int) -> ProxFunction:

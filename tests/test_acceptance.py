@@ -188,7 +188,8 @@ def test_criterion_2_scheme_equivalence():
     for case in (1, 2):
         problem = CompositeProblem(prox.elastic_net(p, 0.05, 0.1),
                                    prox.l1_shifted(b), K)
-        sched = pd_strong.StrongSchedule(case, 0.75, 0.1, K.norm, c=4.0)
+        sched = pd_strong.StrongSchedule(case, 0.75, 0.1, K.norm,
+                                         c=4.0 if case == 2 else None)
         x0, y0 = rng.standard_normal(p), rng.standard_normal(n)
         sm = pd_strong.init_state(problem, x0, y0)
         ss = pd_strong.init_split_state(problem, x0, y0)

@@ -7,6 +7,7 @@ import pytest
 
 from nspd import bench, metrics
 from nspd.bench import GameConfig, LadConfig, gen_game, gen_lad
+from nspd.errors import ConfigurationError
 from nspd.linop import LinearMap, estimate_norm, load_triplets
 
 
@@ -65,7 +66,7 @@ def test_gen_lad_correlated_columns_keep_norms():
 
 def test_gen_game_unit_norm():
     game = gen_game(GameConfig(n=30, p=50, density=0.1, seed=4))
-    est = estimate_norm(game.K, tol=1e-14, max_iters=50_000, seed=1)
+    est = estimate_norm(game.K, tol=1e-14)
     assert abs(est.value - 1.0) <= 1e-8
     A = game.K.matrix
     density = np.count_nonzero(A) / A.size
@@ -104,8 +105,7 @@ def test_gen_game_matches_two_buffer_draw(cfg, rng):
         first = np.random.default_rng(cfg.seed).random((cfg.n, cfg.p))
         assert not (first < cfg.density).any()
     game = gen_game(cfg)
-    ref = LinearMap.from_dense_unit_norm(_two_buffer_game_matrix(cfg),
-                                         tol=1e-14, max_iters=50_000, seed=0)
+    ref = LinearMap.from_dense_unit_norm(_two_buffer_game_matrix(cfg))
     assert np.array_equal(game.K.matrix, ref.matrix)
     assert game.K.norm == 1.0
     with pytest.raises(ValueError):
@@ -179,6 +179,15 @@ def test_spec_refuses_fewer_than_one_iteration(max_iters):
     # an empty trace has nothing to check a certificate against
     with pytest.raises(ValueError, match=f"max_iters.*{max_iters}"):
         bench.ExperimentSpec(name="game", max_iters=max_iters)
+
+
+def test_spec_reads_epsilon_only_in_the_game():
+    assert bench.ExperimentSpec(name="game").epsilon == 1e-3
+    assert bench.ExperimentSpec(name="lad-case1").epsilon is None
+    with pytest.raises(ConfigurationError, match="epsilon.*got 0.0"):
+        bench.ExperimentSpec(name="game", epsilon=0.0)
+    with pytest.raises(ConfigurationError, match="epsilon.*got 0.001"):
+        bench.ExperimentSpec(name="lad-case2", epsilon=1e-3)
 
 
 # the rows of each LAD experiment in run order (perfbench/workloads.py lists

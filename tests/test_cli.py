@@ -97,6 +97,20 @@ def test_cli_run_refuses_a_bad_option_as_a_usage_error(option, quantity,
     assert "Traceback" not in err and not (tmp_path / "report.json").exists()
 
 
+def test_cli_run_refuses_epsilon_outside_the_game(tmp_path, capsys):
+    # only the game's smoothed baseline reads --epsilon
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "lad-case1", "--desk", "--max-iters", "20",
+                  "--epsilon", "5", "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("nspd run: error: ")
+    assert "epsilon must be unset outside the game" in errors[0]
+    assert "got 5.0" in errors[0] and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 _SMALL_LAD = {"kind": "lad", "n": 15, "p": 6, "s": 2, "seed": 4}
 _STRONG_LAD = _SMALL_LAD | {"mu_f": 0.1}
 
@@ -155,7 +169,12 @@ _STRONG_LAD = _SMALL_LAD | {"mu_f": 0.1}
      "ADMM takes no beta, got 0.1"),
     (_SMALL_LAD, {"method": "cp", "inner_tol": 1e-8}, "'inner_tol'"),
     (_SMALL_LAD, {"method": "cp", "rho": float("nan")},
-     "rho must be a positive number, got nan")])
+     "rho must be a positive number, got nan"),
+    # Case 1's tau has no c, and a string is not a truth value
+    (_STRONG_LAD, {"method": "pd_strong", "case": 1, "c": 1000.0},
+     "c must be unset in Case 1, whose tau has no c, got 1000.0"),
+    (_STRONG_LAD, {"method": "pd_strong", "enforce_rho0_bound": "no"},
+     "enforce_rho0_bound must be true or false, got 'no'")])
 def test_cli_solve_refuses_a_bad_config_as_a_usage_error(problem, solver, named,
                                                         tmp_path, capsys):
     _assert_usage_error({"problem": problem, "solver": solver}, named,

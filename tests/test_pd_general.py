@@ -357,7 +357,7 @@ def test_inflated_norm_estimate_keeps_certificate(rng):
     b = rng.standard_normal(20)
     K = LinearMap.from_dense(A)
     problem = CompositeProblem(prox.l1_norm(8, 0.1), prox.l1_shifted(b), K)
-    sigma = estimate_norm(K, tol=1e-14, max_iters=50_000).value
+    sigma = estimate_norm(K, tol=1e-14).value
     norm_infl = 1.01 * sigma
 
     cfg = baselines.BaselineConfig(rho=1.0 / sigma)

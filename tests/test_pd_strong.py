@@ -111,7 +111,7 @@ def test_init_state_extends_the_general_state(rng):
     assert np.array_equal(strong.x_tilde, x0)
 
 
-@pytest.mark.parametrize("case,c", [(1, 4.0), (2, 4.0), (2, 3.0)])
+@pytest.mark.parametrize("case,c", [(1, None), (2, 4.0), (2, 3.0)])
 def test_merged_matches_split_form(rng, case, c):
     problem = elastic_instance(rng)
     x0 = rng.standard_normal(20)

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from nspd import prox
 from nspd.prox import (_soft, apg, conjugate_prox, elastic_net, l1_norm,
                        l1_shifted, point_indicator, project_simplex,
-                       quadratic, simplex_indicator, simplex_support,
+                       simplex_indicator, simplex_support,
                        squared_l2, zero)
 
 RNG = np.random.default_rng(7)
@@ -77,8 +77,7 @@ def test_shift_is_the_anchor_of_a_shifted_function():
     assert l1_norm(2, 0.05).shift is None
 
 
-@pytest.mark.parametrize("h", builtin_functions() + [quadratic(np.eye(6))],
-                         ids=_id)
+@pytest.mark.parametrize("h", builtin_functions(), ids=_id)
 def test_replacing_the_prox_keeps_kind_params_name_and_shift(h):
     r = dataclasses.replace(h, prox=lambda v, step: h.prox(v, step))
     assert (r.kind, r.shift is h.shift) == (h.kind, True)
@@ -279,28 +278,15 @@ def test_apg_reaches_the_prox_of_a_quadratic(rng, monkeypatch):
     assert np.allclose(x, _soft(c, 0.3), atol=1e-12)
 
 
-def test_quadratic_prox_is_resolvent(rng):
-    Q = rng.standard_normal((4, 4))
-    Q = Q @ Q.T + 0.5 * np.eye(4)
-    q = rng.standard_normal(4)
-    h = quadratic(Q, q)
-    v = rng.standard_normal(4)
-    s = 0.7
-    u = h.prox(v, s)
-    # optimality: Q u + q + (u - v)/s = 0
-    assert np.linalg.norm(Q @ u + q + (u - v) / s) <= 1e-10
-    assert h.mu > 0 and h.smooth_lipschitz >= h.mu
-
-
 def test_gradients_match_finite_differences(rng):
-    for h in (squared_l2(5, 1.7), quadratic(np.eye(5) * 2.0, rng.standard_normal(5))):
-        x = rng.standard_normal(5)
-        g = h.gradient(x)
-        for i in range(5):
-            e = np.zeros(5)
-            e[i] = 1e-6
-            fd = (h.value(x + e) - h.value(x - e)) / 2e-6
-            assert abs(fd - g[i]) <= 1e-5 * (1 + abs(g[i]))
+    h = squared_l2(5, 1.7)
+    x = rng.standard_normal(5)
+    g = h.gradient(x)
+    for i in range(5):
+        e = np.zeros(5)
+        e[i] = 1e-6
+        fd = (h.value(x + e) - h.value(x - e)) / 2e-6
+        assert abs(fd - g[i]) <= 1e-5 * (1 + abs(g[i]))
 
 
 # -- property-based checks -----------------------------------------------------
