@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nspd import bench, metrics
+from nspd import bench, linop, metrics
 from nspd.bench import GameConfig, LadConfig, gen_game, gen_lad
 from nspd.errors import ConfigurationError
 from nspd.linop import LinearMap, estimate_norm, load_triplets
@@ -64,8 +64,12 @@ def test_gen_lad_correlated_columns_keep_norms():
     assert c > 0.3
 
 
-def test_gen_game_unit_norm():
+def test_gen_game_unit_norm(monkeypatch):
     game = gen_game(GameConfig(n=30, p=50, density=0.1, seed=4))
+    # check the scaling independently of the estimate that set it: an SVD,
+    # and Lanczos from a start other than the one gen_game's sigma used
+    assert abs(np.linalg.svd(game.K.matrix, compute_uv=False)[0] - 1.0) <= 1e-8
+    monkeypatch.setattr(linop, "LANCZOS_SEED", linop.LANCZOS_SEED + 1)
     est = estimate_norm(game.K, tol=1e-14)
     assert abs(est.value - 1.0) <= 1e-8
     A = game.K.matrix
