@@ -249,8 +249,7 @@ def smoothing_solve(game: MatrixGame, epsilon: float, mu_scale: float = 1.0,
     reported for the gap is the weighted average of the y_mu evaluations
     with weights proportional to i+1.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_option("epsilon", epsilon)
     K = game.K
     n, p = game.n, game.p
     mu = mu_scale * smoothing_mu(epsilon, n)

@@ -14,6 +14,7 @@ rows; ``nspd solve`` shares :func:`make_instance` and :func:`solver`.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, replace
@@ -53,7 +54,7 @@ class LadConfig:
     """Sparse-regression instance with an l1 data-fit term.
 
     b = K x_true + e where x_true is s-sparse and e is sparse Gaussian noise
-    with standard deviation ``noise_sigma`` and density ``noise_density``.
+    with standard deviation ``NOISE_SIGMA`` and density ``NOISE_DENSITY``.
     ``mu_f`` > 0 switches the regularizer from lam ||x||_1 to the elastic
     net lam ||x||_1 + (mu_f/2) ||x||^2.  ``correlated_fraction`` > 0 mixes
     that fraction of columns of K with their left neighbor (mixed column is
@@ -64,19 +65,21 @@ class LadConfig:
     p: int = 64
     s: int = 8
     lam: float = 0.05
-    noise_sigma: float = 0.1
-    noise_density: float = 0.1
     mu_f: float = 0.0
     correlated_fraction: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.s <= self.p):
-            raise ValueError("s must lie in (0, p]")
-        if not (0 <= self.noise_density <= 1):
-            raise ValueError("noise_density must lie in [0, 1]")
-        if not (0 <= self.correlated_fraction <= 1):
-            raise ValueError("correlated_fraction must lie in [0, 1]")
+        _check_positive_int("n", self.n)
+        _check_positive_int("p", self.p)
+        check_option("s", self.s, f"be an integer in [1, p = {self.p}]",
+                     lambda s: 1 <= s <= self.p, numbers.Integral)
+        check_option("lam", self.lam)
+        check_option("mu_f", self.mu_f, "be a non-negative number",
+                     lambda m: m >= 0)
+        check_option("correlated_fraction", self.correlated_fraction,
+                     "lie in [0, 1]", lambda f: 0 <= f <= 1)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,20 @@ class GameConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.density <= 1):
-            raise ValueError("density must lie in (0, 1]")
+        _check_positive_int("n", self.n)
+        _check_positive_int("p", self.p)
+        check_option("density", self.density, "lie in (0, 1]",
+                     lambda d: 0 < d <= 1)
+        _check_seed(self.seed)
+
+
+def _check_positive_int(name, value):
+    check_option(name, value, "be a positive integer", kind=numbers.Integral)
+
+
+def _check_seed(seed):
+    check_option("seed", seed, "be a non-negative integer", lambda s: s >= 0,
+                 numbers.Integral)
 
 
 DESK_LAD = LadConfig()
@@ -100,6 +115,11 @@ PAPER_GAME = GameConfig(n=1000, p=2000)
 
 
 # -- generators ------------------------------------------------------------------
+
+NOISE_SIGMA = 0.1  # standard deviation of a LAD instance's noise entries
+NOISE_DENSITY = 0.1  # chance that an entry of a LAD instance's b carries noise
+GAME_MAX_DRAWS = 100  # gen_game's mask draws, past which it raises
+
 
 def gen_lad(cfg: LadConfig):
     """Generate (CompositeProblem, x_true) for the l1 data-fit instance."""
@@ -116,8 +136,8 @@ def gen_lad(cfg: LadConfig):
     support = rng.choice(cfg.p, size=cfg.s, replace=False)
     x_true[support] = rng.standard_normal(cfg.s)
     e = np.zeros(cfg.n)
-    noisy = rng.random(cfg.n) < cfg.noise_density
-    e[noisy] = cfg.noise_sigma * rng.standard_normal(int(noisy.sum()))
+    noisy = rng.random(cfg.n) < NOISE_DENSITY
+    e[noisy] = NOISE_SIGMA * rng.standard_normal(int(noisy.sum()))
     b = K @ x_true + e
     op = LinearMap.from_dense(K)
     f = (l1_norm(cfg.p, cfg.lam) if cfg.mu_f == 0
@@ -139,16 +159,21 @@ def gen_game(cfg: GameConfig) -> MatrixGame:
     against ~95 MB).  Dropping K once its CSR copies exist does not raise
     the peak.  The stream is that of drawing the mask into an array of its
     own.
+
+    A mask with no nonzero is drawn again from the next seed, up to
+    ``GAME_MAX_DRAWS`` draws in all; past them it raises ValueError.
     """
     K = np.empty((cfg.n, cfg.p))
-    seed = cfg.seed
-    while True:
+    for seed in range(cfg.seed, cfg.seed + GAME_MAX_DRAWS):
         rng = np.random.default_rng(seed)
         rng.random(out=K)
         mask = K < cfg.density
         if mask.any():
             break
-        seed += 1  # all-zero draw: retry with the next seed
+    else:
+        raise ValueError(
+            f"a {cfg.n}x{cfg.p} game at density {cfg.density!r} drew no "
+            f"nonzero from seeds {cfg.seed} to {cfg.seed + GAME_MAX_DRAWS - 1}")
     K.fill(0.0)
     K[mask] = rng.uniform(-1.0, 1.0, size=int(mask.sum()))
     # from_dense_unit_norm converges sigma to 1e-14, so K / sigma has unit
@@ -176,12 +201,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
-        if self.scale not in ("desk", "paper"):
-            raise ValueError(
-                f"scale must be 'desk' or 'paper', got {self.scale!r}")
+        check_option("scale", self.scale, "be 'desk' or 'paper'",
+                     lambda s: s in ("desk", "paper"), str)
+        _check_seed(self.seed)
+        _check_positive_int("max_iters", self.max_iters)
         check_trace_every(self.trace_every)
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
         if self.name == "game" and self.epsilon is None:
             self.epsilon = 1e-3
         elif self.epsilon is not None:

@@ -5,8 +5,9 @@
     nspd solve --config FILE
     nspd plotdata TRACE.csv
 
-Exit codes: 0 success, 2 a usage error (an option ``run`` refuses, or a
-config ``solve`` refuses, at build time or as its solve starts) and with
+Exit codes: 0 success, 2 a usage error (an option ``run`` refuses, a config
+``solve`` refuses, at build time or as its solve starts, or a file
+``plotdata`` cannot read as a trace) and with
 ``run --check`` a violated certificate or a certified variant that failed to
 run, 3 oracle failure (``run``), 4 divergence: a non-finite iterate
 (``solve``), 5 an inner subproblem solver that missed its tolerance
@@ -88,7 +89,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    trace = metrics.Trace.from_csv(args.trace)
+    try:
+        trace = metrics.Trace.from_csv(args.trace)
+    except (OSError, ValueError) as exc:  # not a readable trace: status 2
+        args.parser.error(str(exc))
     names = ("F", "G", "gap", "feas")
     print("log10_k," + ",".join(f"log10_{c}" for c in names))
     for k, *values in zip(*(trace.column(c) for c in ("k",) + names)):
@@ -127,7 +131,7 @@ def main(argv=None) -> int:
 
     p_plot = sub.add_parser("plotdata", help="emit log-log-ready columns")
     p_plot.add_argument("trace")
-    p_plot.set_defaults(fn=_cmd_plotdata)
+    p_plot.set_defaults(fn=_cmd_plotdata, parser=p_plot)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -31,9 +31,12 @@ def record_cadence(max_iters, trace_every):
 
     A positive integer ``trace_every`` records every multiple of it, the
     first ten iterations and the last; ``"log"`` records ~400 log-spaced k,
-    the first ten and the last.  Anything else is a ConfigurationError.
+    the first ten and the last.  Anything else is a ConfigurationError.  A
+    run of no steps records nothing.
     """
     check_trace_every(trace_every)
+    if max_iters < 1:
+        return lambda k: False
     if trace_every == "log":
         ks = np.unique(np.round(np.logspace(0, np.log10(max_iters), 400)).astype(int))
         logs = set(int(k) for k in ks) | set(range(1, min(11, max_iters + 1)))

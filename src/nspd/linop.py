@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_option
 
 __all__ = [
     "LinearMap",
@@ -236,8 +236,7 @@ def estimate_norm(op: LinearMap, tol: float = 1e-12) -> NormEstimate:
     steps returns the last estimate and emits a warning rather than failing
     silently.  Both constants are read at each call.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_option("tol", tol)
     rng = np.random.default_rng(LANCZOS_SEED)
     v = rng.standard_normal(op.cols)
     v /= np.linalg.norm(v)

@@ -113,14 +113,23 @@ class Trace:
 
     @classmethod
     def from_csv(cls, path):
+        """Read a trace :meth:`to_csv` wrote; a file without the header, or
+        with a row that is not six numbers with k increasing, is a
+        ValueError naming its line."""
         tr = cls()
         with open(path, newline="") as fh:
             r = csv.reader(fh)
-            header = next(r)
-            if header != CSV_HEADER:
-                raise ValueError(f"unexpected trace header {header}")
-            for row in r:
-                tr.append(int(row[0]), *(float(v) for v in row[1:]))
+            try:
+                header = next(r, None)
+                if header != CSV_HEADER:
+                    raise ValueError(f"unexpected trace header {header}")
+                for row in r:
+                    if len(row) != len(CSV_HEADER):
+                        raise ValueError(f"{len(row)} fields, expected "
+                                         f"{len(CSV_HEADER)}")
+                    tr.append(int(row[0]), *map(float, row[1:]))
+            except (ValueError, csv.Error) as exc:
+                raise ValueError(f"{path}, line {r.line_num}: {exc}") from None
         return tr
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import InnerSolverError
+from .errors import InnerSolverError, check_option
 
 __all__ = [
     "ProxFunction",
@@ -138,8 +138,7 @@ def _soft(v, t):
 
 def l1_norm(dim: int, lam: float) -> ProxFunction:
     """f(x) = lam * ||x||_1 with componentwise soft-thresholding prox."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    check_option("lam", lam)
 
     def value(x):
         return lam * float(np.abs(x).sum())
@@ -188,8 +187,8 @@ def l1_shifted(b: np.ndarray) -> ProxFunction:
 
 def elastic_net(dim: int, lam: float, mu: float) -> ProxFunction:
     """f(x) = lam ||x||_1 + (mu/2) ||x||^2, strongly convex with modulus mu."""
-    if lam <= 0 or mu <= 0:
-        raise ValueError("lam and mu must be positive")
+    check_option("lam", lam)
+    check_option("mu", mu)
 
     def value(x):
         return lam * float(np.abs(x).sum()) + 0.5 * mu * float(x.dot(x))
@@ -285,8 +284,7 @@ def simplex_support(dim: int) -> ProxFunction:
 
 def squared_l2(dim: int, weight: float = 1.0) -> ProxFunction:
     """psi(x) = (weight/2) ||x||^2: smooth and strongly convex."""
-    if weight <= 0:
-        raise ValueError("weight must be positive")
+    check_option("weight", weight)
 
     def value(x):
         return 0.5 * weight * float(x.dot(x))

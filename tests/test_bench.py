@@ -1,6 +1,7 @@
 """Tests for instance generation and the experiment harness."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ def test_lad_default_desk_scale():
     cfg = LadConfig()
     assert (cfg.n, cfg.p, cfg.s) == (200, 64, 8)
     assert cfg.lam == 0.05
-    assert cfg.noise_sigma == pytest.approx(0.1)  # variance 0.01
-    assert cfg.noise_density == 0.1
+    assert bench.NOISE_SIGMA == pytest.approx(0.1)  # variance 0.01
+    assert bench.NOISE_DENSITY == 0.1
 
 
 def test_lad_paper_scale_dimensions():
@@ -120,13 +121,25 @@ def test_gen_game_matches_two_buffer_draw(cfg, rng):
         assert np.array_equal(game.K.adjoint_apply(y), ref.adjoint_apply(y))
 
 
+def test_gen_game_caps_its_redraws(monkeypatch):
+    # RETRY_GAME's first nonzero mask is its second draw, from seed 2
+    monkeypatch.setattr(bench, "GAME_MAX_DRAWS", 1)
+    with pytest.raises(ValueError, match=re.escape(
+            "a 2x2 game at density 0.1 drew no nonzero from seeds 1 to 1")):
+        gen_game(RETRY_GAME)
+    monkeypatch.setattr(bench, "GAME_MAX_DRAWS", 2)
+    assert np.count_nonzero(gen_game(RETRY_GAME).K.matrix) > 0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         LadConfig(s=0)
-    with pytest.raises(ValueError):
-        LadConfig(noise_density=1.5)
+    with pytest.raises(TypeError, match="noise_density"):
+        LadConfig(noise_density=0.1)  # a module constant, not a field
     with pytest.raises(ValueError):
         GameConfig(density=0.0)
+    with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
+        GameConfig(n=0)
 
 
 def test_game_experiment_writes_artifacts(tmp_path):

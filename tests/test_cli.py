@@ -1,6 +1,7 @@
 """CLI smoke tests."""
 
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -111,6 +112,16 @@ def test_cli_run_refuses_epsilon_outside_the_game(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_run_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "lad-case1", "--seed", "-1", "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "nspd run: error: seed must be a non-negative integer, got -1" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 _SMALL_LAD = {"kind": "lad", "n": 15, "p": 6, "s": 2, "seed": 4}
 _STRONG_LAD = _SMALL_LAD | {"mu_f": 0.1}
 
@@ -174,7 +185,29 @@ _STRONG_LAD = _SMALL_LAD | {"mu_f": 0.1}
     (_STRONG_LAD, {"method": "pd_strong", "case": 1, "c": 1000.0},
      "c must be unset in Case 1, whose tau has no c, got 1000.0"),
     (_STRONG_LAD, {"method": "pd_strong", "enforce_rho0_bound": "no"},
-     "enforce_rho0_bound must be true or false, got 'no'")])
+     "enforce_rho0_bound must be true or false, got 'no'"),
+    # the instance config is refused before any instance is drawn
+    ({"kind": "game", "n": 0}, {"method": "pd_general"},
+     "n must be a positive integer, got 0"),
+    ({"kind": "game", "n": 1, "p": 1, "density": 1e-9},
+     {"method": "pd_general"}, "a 1x1 game at density 1e-09 drew no nonzero"),
+    (_SMALL_LAD | {"n": 0}, {"method": "pd_general"},
+     "n must be a positive integer, got 0"),
+    (_SMALL_LAD | {"n": 2.5}, {"method": "pd_general"},
+     "n must be a positive integer, got 2.5"),
+    (_SMALL_LAD | {"lam": float("nan")}, {"method": "pd_general"},
+     "lam must be a positive number, got nan"),
+    (_SMALL_LAD | {"lam": "x"}, {"method": "pd_general"},
+     "lam must be a positive number, got 'x'"),
+    (_SMALL_LAD | {"mu_f": -1}, {"method": "pd_general"},
+     "mu_f must be a non-negative number, got -1"),
+    (_SMALL_LAD | {"seed": -1}, {"method": "pd_general"},
+     "seed must be a non-negative integer, got -1"),
+    (_SMALL_LAD | {"correlated_fraction": 2}, {"method": "pd_general"},
+     "correlated_fraction must lie in [0, 1], got 2"),
+    # the noise of a LAD instance is bench.NOISE_SIGMA/NOISE_DENSITY
+    (_SMALL_LAD | {"noise_sigma": 0.1}, {"method": "pd_general"},
+     "'noise_sigma'")])
 def test_cli_solve_refuses_a_bad_config_as_a_usage_error(problem, solver, named,
                                                         tmp_path, capsys):
     _assert_usage_error({"problem": problem, "solver": solver}, named,
@@ -192,12 +225,22 @@ def test_cli_solve_refuses_a_config_missing_a_key(cfg, key, tmp_path, capsys):
 
 
 def _assert_usage_error(cfg, named, tmp_path, capsys):
-    """``nspd solve`` on ``cfg`` exits 2 with one error line naming
-    ``named``, no traceback and no trace written."""
+    """``nspd solve`` on ``cfg`` exits 2 within 5 s with one error line
+    naming ``named``, no traceback and no trace written."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg | {"out": str(tmp_path / "trace.csv")}))
-    with pytest.raises(SystemExit) as exit_:
-        cli.main(["solve", "--config", str(path)])
+
+    def give_up(signum, frame):
+        raise TimeoutError("nspd solve ran for 5 s without exiting")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5)
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["solve", "--config", str(path)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if "error" in line]
@@ -223,6 +266,31 @@ def test_cli_plotdata_builds_each_column_once(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 51 and out[50] == "1.698970004,-1.698970004,nan,-1.397940009,nan"
     assert sorted(calls) == ["F", "G", "feas", "gap", "k"]
+
+
+_HEADER = "k,F,G,gap,feas,time_s\r\n"
+
+
+@pytest.mark.parametrize("content, named", [
+    (None, "No such file or directory"),
+    ("k,F,G\r\n1,2.0,3.0\r\n", "unexpected trace header ['k', 'F', 'G']"),
+    (_HEADER + "1,2.0\r\n", "line 2: 2 fields, expected 6"),
+    (_HEADER + "1,1,1,1,1,1\r\n2,1,1,1,1,1,1\r\n",
+     "line 3: 7 fields, expected 6"),
+    (_HEADER + "1,x,1,1,1,1\r\n", "line 2: could not convert string to float")],
+    ids=["missing", "header", "short_row", "long_row", "not_a_number"])
+def test_cli_plotdata_refuses_what_is_not_a_trace(content, named, tmp_path,
+                                                  capsys):
+    path = tmp_path / "t.csv"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["plotdata", str(path)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("nspd plotdata: error: ")
+    assert named in errors[0] and "Traceback" not in err
 
 
 def test_cli_solve_admm_method(tmp_path):

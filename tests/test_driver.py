@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,13 @@ def test_every_solver_records_the_cadence(trace_every):
 def test_bad_trace_every_is_named(trace_every):
     with pytest.raises(ValueError, match=re.escape(repr(trace_every))):
         record_cadence(100, trace_every)
+
+
+def test_log_cadence_of_no_steps_is_empty_and_quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        recorded = record_cadence(0, "log")
+    assert not any(recorded(k) for k in range(11))
 
 
 @pytest.mark.parametrize("method", ["pd_general", "pd_strong", "cp", "admm"])
