@@ -49,11 +49,17 @@ The layers (``LAYERS``; a timed call is the mean over as many calls as fill
               ``gen_game`` at paper scale, norm estimates included.
 ``products``  us per K and K^T product, dense BLAS against CSR (``S @ x``,
               ``St @ y`` with ``St = S.T.tocsr()``, and ``S.T @ y``, a CSC
-              view), per benchmark size and density of a matrix with
-              nonzeros uniform in [-1, 1], with its nonzero share and
-              whether ``from_dense`` picks CSR (1) or dense (0): the
-              evidence for ``linop._CSR_MIN_ENTRIES``/``_CSR_MAX_DENSITY``.
-              Made under one BLAS thread and under the library default.
+              view) and against ``apply``/``adjoint_apply`` of the map
+              ``from_dense`` builds when made to keep CSR at any size, with
+              its products split over every CPU available whatever the
+              nonzeros per block (``split_``; a checkout that does not split
+              times ``S @ x`` there), per benchmark size and density of a
+              matrix with nonzeros uniform in [-1, 1], with its nonzero
+              share and whether ``from_dense`` picks CSR (1) or dense (0):
+              the evidence for ``linop._CSR_MIN_ENTRIES``/
+              ``_CSR_MAX_DENSITY`` and, where ``split_`` stops beating
+              ``csr_``, for ``linop._CSR_MIN_BLOCK_NNZ``.  Made under one
+              BLAS thread and under the library default.
 """
 
 from __future__ import annotations
@@ -332,6 +338,11 @@ def _products(batch_s):
     import scipy.sparse as sp
     from nspd import linop
 
+    picks_csr = linop._prefers_csr
+    # every map below kept as CSR, with its products split over all the
+    # CPUs available at any size
+    linop._prefers_csr = lambda A: True
+    linop._CSR_MIN_BLOCK_NNZ = 1
     out = {}
     rng = np.random.default_rng(0)
     for (size, (n, p)), density in itertools.product(
@@ -340,15 +351,19 @@ def _products(batch_s):
                      rng.uniform(-1.0, 1.0, (n, p)), 0.0)
         S = sp.csr_matrix(A)
         St = S.T.tocsr()
+        K = linop.LinearMap.from_dense(A)
         x, y = rng.standard_normal(p), rng.standard_normal(n)
         row = f"{size}_{density}."
         out[row + "nnz_share"] = float(np.count_nonzero(A) / A.size)
-        out[row + "from_dense_csr"] = float(linop._prefers_csr(A))
+        out[row + "from_dense_csr"] = float(picks_csr(A))
         out.update(_us({row + "dense_Kx": lambda: A @ x,
                         row + "dense_KTy": lambda: A.T @ y,
                         row + "csr_Kx": lambda: S @ x,
                         row + "csr_KTy": lambda: St @ y,
-                        row + "csc_view_KTy": lambda: S.T @ y}, batch_s))
+                        row + "csc_view_KTy": lambda: S.T @ y,
+                        row + "split_Kx": lambda: K.apply(x),
+                        row + "split_KTy": lambda: K.adjoint_apply(y)},
+                       batch_s))
     return out
 
 

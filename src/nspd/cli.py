@@ -6,25 +6,29 @@
     nspd plotdata TRACE.csv
 
 Exit codes: 0 success, 2 a usage error (an option ``run`` refuses, a config
-``solve`` refuses, at build time or as its solve starts, or a file
-``plotdata`` cannot read as a trace) and with
-``run --check`` a violated certificate or a certified variant that failed to
-run, 3 oracle failure (``run``), 4 divergence: a non-finite iterate
-(``solve``), 5 an inner subproblem solver that missed its tolerance
-(``solve``).  ``solve`` writes the trace recorded so far before it exits with
-4 or 5, and no trace when it exits with 2.
+``solve`` refuses, at build time or as its solve starts, a config file
+``solve`` cannot read or an output path ``run`` or ``solve`` cannot write
+to, both found before any instance is drawn, or a file ``plotdata`` cannot
+read as a trace) and with ``run --check`` a violated certificate or a
+certified variant that failed to run, 3 oracle failure (``run``), 4
+divergence: a non-finite iterate (``solve``), 5 an inner subproblem solver
+that missed its tolerance (``solve``).  ``solve`` writes the trace
+recorded so far before it exits with 4 or 5, and no trace when it exits
+with 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import bench, metrics
-from .errors import ConfigurationError, DivergenceError, InnerSolverError
+from .errors import (ConfigurationError, DivergenceError, InnerSolverError,
+                     check_option)
 
 
 def _cmd_run(args) -> int:
@@ -41,6 +45,10 @@ def _cmd_run(args) -> int:
         )
     except ValueError as exc:  # a refused option: a usage error, status 2
         args.parser.error(str(exc))
+    try:  # before any instance is drawn
+        os.makedirs(spec.out_dir, exist_ok=True)
+    except OSError as exc:
+        args.parser.error(f"cannot write to --out {spec.out_dir!r}: {exc}")
     report = bench.run_experiment(spec)
     for v in report["variants"]:
         slope = v["slope"]
@@ -54,11 +62,26 @@ def _cmd_run(args) -> int:
     return report["exit_code"]
 
 
+def _writable_file(path) -> bool:
+    """Whether ``path`` names a file, new or not, in an existing directory."""
+    return (path != "" and not os.path.isdir(path)
+            and os.path.isdir(os.path.dirname(path) or "."))
+
+
 def _cmd_solve(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable or not JSON: status 2
+        args.parser.error(f"cannot read the config {args.config!r}: {exc}")
+    if not isinstance(cfg, dict):
+        args.parser.error(f"the config must be a JSON object, got "
+                          f"{type(cfg).__name__}")
     configs = {"lad": bench.LadConfig, "game": bench.GameConfig}
     try:
+        out = check_option("out", cfg.get("out", "trace.csv"),
+                           "be a file path in an existing directory",
+                           _writable_file, str)
         prob_cfg, options = dict(cfg["problem"]), dict(cfg["solver"])
         kind, method = prob_cfg.pop("kind"), options.pop("method")
         if kind not in configs:
@@ -69,7 +92,6 @@ def _cmd_solve(args) -> int:
         args.parser.error(f"the config lacks the key {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:  # a refused config: status 2
         args.parser.error(str(exc))
-    out = cfg.get("out", "trace.csv")
     trace = metrics.Trace()
     try:
         solve(inst.recorder(trace))

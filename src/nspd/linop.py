@@ -16,6 +16,16 @@ the matrix and of its transpose and multiplies through them, and its
 immutable after construction and safe to share across threads;
 ``apply``/``adjoint_apply`` are reentrant.
 
+A CSR product runs as contiguous row blocks, one per CPU available to the
+process (``os.sched_getaffinity``), balanced by nonzeros and each keeping
+at least ``_CSR_MIN_BLOCK_NNZ`` of them: block 0 on the caller's thread,
+the others on a module-level thread pool started on first use.  Each block
+runs scipy's ``csr_matvec``, the kernel of ``S @ x``, which releases the
+GIL, so every row is summed by the same loop and the product is
+bit-identical to ``S @ x``.  The BLAS thread variables do not govern the
+pool.  A forked child drops the pool it inherits (whose threads it does
+not have) and starts its own on its first split product.
+
 ``scipy.sparse`` is imported only where a CSR copy is built: it is about
 half of ``import nspd`` (~0.17 of 0.34 s), and the LAD instances never
 need it.
@@ -23,6 +33,8 @@ need it.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from typing import NamedTuple
 
@@ -45,6 +57,11 @@ __all__ = [
 # ~20% nonzeros dense BLAS on two threads ties CSR.
 _CSR_MIN_ENTRIES = 1 << 17
 _CSR_MAX_DENSITY = 0.15
+# Nonzeros a row block of a CSR product keeps at least: handing a block to
+# the pool costs ~30 us, so on 2 CPUs two blocks lose at 32k and 50k
+# nonzeros each, tie at 64k and win at 100k (BENCH_products.json, split_
+# against csr_ on lad-paper and game-paper at 5% and 10%).
+_CSR_MIN_BLOCK_NNZ = 1 << 16
 
 LANCZOS_SEED = 0  # draws estimate_norm's start vector
 LANCZOS_MAX_STEPS = 10_000  # estimate_norm's step cap, past which it warns
@@ -77,6 +94,85 @@ def _storage(A):
     return np.array(A, order="C"), None
 
 
+_pool = None  # runs blocks 1.. of the CSR products; started on first use
+_pool_lock = threading.Lock()
+
+
+def _drop_pool():
+    """Forget the pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _helpers():
+    """The pool that runs blocks 1.. of the CSR products, started on first
+    use with one thread fewer than the CPUs available.  ``concurrent.futures``
+    (~5 ms to import) loads only here, so dense-only runs never load it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(1, _cpus() - 1),
+                                       thread_name_prefix="nspd-csr")
+        return _pool
+
+
+def _csr_product(S):
+    """The product ``x -> S @ x`` of the CSR matrix ``S``, bit-identical to
+    it, as contiguous row blocks.
+
+    There is one block per CPU available, capped so that each keeps at
+    least ``_CSR_MIN_BLOCK_NNZ`` nonzeros, with the row cuts balancing the
+    nonzeros.  A block is scipy's ``csr_matvec`` on views of ``S``'s arrays
+    (its slice of ``indptr``, the whole of ``indices`` and ``data``)
+    writing its slice of the output; the views copy nothing, so in-place
+    writes to ``S.data`` reach them.  Block 0 runs on the caller's thread
+    and the others on the pool; with one block nothing is handed over.
+    """
+    from scipy.sparse._sparsetools import csr_matvec
+
+    rows, cols = S.shape
+    indptr, indices, data = S.indptr, S.indices, S.data
+    count = max(1, min(_cpus(), rows, S.nnz // _CSR_MIN_BLOCK_NNZ))
+    cuts = np.searchsorted(indptr, S.nnz * np.arange(1, count) // count)
+    bounds = np.unique(np.r_[0, cuts, rows]).tolist()
+    blocks = [(b - a, indptr[a:b + 1], slice(a, b))
+              for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def product(x):
+        # the kernel copies a strided x: once here, not once per block
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        y = np.zeros(rows)
+
+        def run(block):
+            n, ptr, out = block
+            csr_matvec(n, cols, ptr, indices, data, x, y[out])
+
+        helpers = _helpers() if len(blocks) > 1 else None
+        rest = [helpers.submit(run, b) for b in blocks[1:]]
+        try:
+            run(blocks[0])
+        finally:  # no block may still write y once the call is over
+            for future in rest:
+                future.result()
+        return y
+
+    return product
+
+
 class NormEstimate(NamedTuple):
     value: float
     converged: bool
@@ -105,7 +201,12 @@ class LinearMap:
         must not carry it.
 
     The solvers use K only through :meth:`apply` and :meth:`adjoint_apply`;
-    :attr:`matrix` is the one way to read K as an array.
+    :attr:`matrix` is the one way to read K as an array.  Both products are
+    reentrant: several threads may multiply one map at once.  A map kept as
+    CSR computes each product as row blocks, one per CPU available, the
+    first on the calling thread and the others on the module's thread pool
+    (bit-identical to ``S @ x``); a forked child starts its own pool on
+    first use.
     """
 
     def __init__(self, rows, cols, forward, adjoint, *, norm_estimate=None,
@@ -214,7 +315,7 @@ class LinearMap:
             stored = A
         else:
             S, St = csr
-            forward, adjoint = (lambda x: S @ x), (lambda y: St @ y)
+            forward, adjoint = _csr_product(S), _csr_product(St)
             stored = S
         m = cls(stored.shape[0], stored.shape[1], forward, adjoint,
                 norm_estimate=norm_estimate, kind="dense")

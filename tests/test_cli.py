@@ -340,3 +340,68 @@ def test_cli_solve_reports_inner_solver_failure(tmp_path, capsys,
 def test_cli_solve_zero_iterations_writes_an_empty_trace(tmp_path):
     assert _solve(tmp_path, {"method": "cp", "max_iters": 0}) == 0
     assert len(metrics.Trace.from_csv(tmp_path / "trace.csv")) == 0
+
+
+# -- paths refused before any instance is drawn --------------------------------
+
+def _assert_path_refused(argv, named, command, capsys, monkeypatch):
+    """``nspd <argv>`` exits 2 with one error line naming ``named`` and no
+    traceback, without drawing an instance."""
+    def no_instance(cfg):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(bench, "make_instance", no_instance)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"nspd {command}: error: ")
+    assert named in errors[0] and "Traceback" not in err
+
+
+def test_cli_solve_refuses_a_missing_config(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "nothere.json"
+    _assert_path_refused(["solve", "--config", str(path)],
+                         "No such file or directory", "solve", capsys,
+                         monkeypatch)
+
+
+def test_cli_solve_refuses_a_config_that_is_not_json(tmp_path, capsys,
+                                                     monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"problem": ')
+    _assert_path_refused(["solve", "--config", str(path)],
+                         f"cannot read the config {str(path)!r}", "solve",
+                         capsys, monkeypatch)
+
+
+def test_cli_solve_refuses_a_config_that_is_not_an_object(tmp_path, capsys,
+                                                          monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"problem": _SMALL_LAD}]))
+    _assert_path_refused(["solve", "--config", str(path)],
+                         "the config must be a JSON object, got list",
+                         "solve", capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("out", [5, "missing/trace.csv", "", "."],
+                         ids=["number", "missing_dir", "empty", "directory"])
+def test_cli_solve_refuses_an_unusable_out(out, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": _SMALL_LAD, "out": out,
+                                "solver": {"method": "cp", "max_iters": 5}}))
+    _assert_path_refused(["solve", "--config", str(path)],
+                         f"out must be a file path in an existing directory, "
+                         f"got {out!r}", "solve", capsys, monkeypatch)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_cli_run_refuses_an_out_that_is_a_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "taken"
+    path.write_text("kept\n")
+    _assert_path_refused(["run", "lad-case1", "--out", str(path)],
+                         f"cannot write to --out {str(path)!r}", "run",
+                         capsys, monkeypatch)
+    assert path.read_text() == "kept\n"

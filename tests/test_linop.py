@@ -1,8 +1,10 @@
 """Tests for the linear operator layer."""
 
 import os
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -510,3 +512,127 @@ assert np.array_equal(game.matrix, A)
 print("ok")
 """, tmp_path / "lad1.txt", tmp_path / "game.txt")
     assert out.split() == ["ok"]
+
+
+# -- CSR products as row blocks -------------------------------------------------
+
+class _CountingPool:
+    """Hands each block to the library's pool and counts the blocks."""
+
+    def __init__(self, pool):
+        self.pool, self.blocks = pool, 0
+
+    def submit(self, fn, *args):
+        self.blocks += 1
+        return self.pool.submit(fn, *args)
+
+
+def _split_map(A, monkeypatch, cpus=3):
+    """``from_dense(A)`` kept as CSR, each product split over ``cpus`` row
+    blocks (fewer when ``A`` has fewer rows or nonzeros), and the pool that
+    runs blocks 1.. of its products."""
+    _keep_csr(monkeypatch)
+    monkeypatch.setattr(linop, "_CSR_MIN_BLOCK_NNZ", 1)
+    monkeypatch.setattr(linop, "_cpus", lambda: cpus)
+    pool = _CountingPool(linop._helpers())
+    monkeypatch.setattr(linop, "_helpers", lambda: pool)
+    return LinearMap.from_dense(A), pool
+
+
+def _assert_bit_equal_products(op, A, x, y):
+    """``op``'s products are bit-equal to CSR products of ``A`` built here."""
+    assert np.array_equal(op.apply(x), sp.csr_matrix(A) @ x)
+    assert np.array_equal(op.adjoint_apply(y), sp.csr_matrix(A.T) @ y)
+
+
+def _sparse(rows, cols, seed=5, density=0.4):
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random((rows, cols)) < density,
+                    rng.standard_normal((rows, cols)), 0.0)
+
+
+def test_split_products_of_strided_and_reversed_vectors(monkeypatch, rng):
+    A = _sparse(40, 30)
+    op, pool = _split_map(A, monkeypatch)
+    x, y = rng.standard_normal(60), rng.standard_normal(80)
+    for u, v in [(x[:30], y[:40]), (x[::2], y[::2]), (x[30:][::-1],
+                                                      y[40:][::-1])]:
+        _assert_bit_equal_products(op, A, u, v)
+    assert pool.blocks == 3 * 2 * 2  # two blocks per product off the caller
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (1, 7), (2, 50)])
+def test_split_products_of_small_shapes(shape, monkeypatch, rng):
+    # (2, 50): fewer rows than the 8 blocks asked for
+    A = _sparse(*shape, density=0.7) + np.eye(*shape)
+    op, pool = _split_map(A, monkeypatch, cpus=8)
+    x, y = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+    _assert_bit_equal_products(op, A, x, y)
+    # at most one block a row, or a column for the adjoint
+    assert pool.blocks <= min(shape[0], 8) - 1 + min(shape[1], 8) - 1
+
+
+def test_split_products_from_user_threads_at_once(monkeypatch):
+    # more user threads than CPUs, switching often, on one map
+    A = _sparse(120, 90, density=0.2)
+    op, pool = _split_map(A, monkeypatch)
+    S, St = sp.csr_matrix(A), sp.csr_matrix(A.T)
+    wrong, start = [], threading.Barrier(4)
+
+    def multiply(seed):
+        rng = np.random.default_rng(seed)
+        start.wait()
+        for _ in range(200):
+            x, y = rng.standard_normal(90), rng.standard_normal(120)
+            if not (np.array_equal(op.apply(x), S @ x)
+                    and np.array_equal(op.adjoint_apply(y), St @ y)):
+                wrong.append(seed)
+
+    threads = [threading.Thread(target=multiply, args=(s,)) for s in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [] and pool.blocks == 4 * 200 * 2 * 2
+
+
+def test_split_products_in_a_forked_child(monkeypatch, rng):
+    A = _sparse(60, 40)
+    op, _ = _split_map(A, monkeypatch)
+    x, y = rng.standard_normal(40), rng.standard_normal(60)
+    _assert_bit_equal_products(op, A, x, y)  # the pool and its threads exist
+    pid = os.fork()
+    if pid == 0:  # the child: multiply, then leave without pytest's exit
+        status = 1
+        try:
+            signal.alarm(20)  # a child waiting on a missing thread dies
+            monkeypatch.undo()  # the library's own pool, dropped at the fork
+            assert linop._pool is None
+            _assert_bit_equal_products(op, A, x, y)
+            assert linop._pool is not None
+            status = 0
+        finally:
+            os._exit(status)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_unit_norm_rescaling_reaches_the_split_products(monkeypatch, rng):
+    A = _sparse(50, 70)
+    op, pool = _split_map(A, monkeypatch)
+    x, y = rng.standard_normal(70), rng.standard_normal(50)
+    op._stored.data *= 0.5  # in place: the forward blocks' views see it
+    assert np.array_equal(op.apply(x), sp.csr_matrix(0.5 * A) @ x)
+    unit = LinearMap.from_dense_unit_norm(A)
+    sigma = estimate_norm(LinearMap.from_dense(A), tol=1e-14).value
+    S = unit._stored
+    assert np.array_equal(S.toarray(), A / sigma)
+    assert np.array_equal(unit.apply(x), S @ x)
+    assert np.array_equal(unit.adjoint_apply(y), S.T.tocsr() @ y)
+    assert pool.blocks > 0
