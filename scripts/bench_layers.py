@@ -22,17 +22,20 @@ The layers (``LAYERS``; a timed call is the mean over as many calls as fill
               ``pd_strong.step`` on lad2-desk (Case 2, c = 4, gamma = 0.75),
               ``baselines.cp_step`` on lad1-desk (rho = 1) and
               ``baselines.cp_scvx_step`` on lad2-desk (rho = 1/||K||,
-              mu_f = 0.1), each along one continuing run; per
+              mu_f = 0.1), each along one continuing run from the start
+              point ``bench.make_instance`` picks; per
               ``conjugate_prox`` of each closed form at the size the
               experiments use it; per soft-thresholding
               prox of ``l1_norm``; per ``check_finite`` of the three
               vectors ``pd_general.step`` checks.
-``record``    us per recorder call as the driver makes it after 100 steps:
+``record``    us per recorder call as the driver makes it after 100 steps,
+              by the recorder ``bench.make_instance`` picks:
               ``composite_recorder`` on lad1-desk and lad2-desk (the solves
               above) and ``game_recorder`` on the paper game (c = 1,
               gamma = 0.5); per ``Trace.to_csv`` of a 100-row trace; per
-              throughput solve (100, 100 and 10 iterations), bare and
-              recorded at every iteration with its trace CSV written.
+              throughput solve (100, 100 and 10 iterations) from the
+              instance's start point, bare and recorded at every iteration
+              with its trace CSV written.
 ``setup``     seconds and MiB of a run's set-up, each part in a fresh
               interpreter: ``-X importtime`` of ``import nspd``; a first
               and a second ``gen_lad`` plus ``.norm`` of lad1/lad2-desk,
@@ -114,19 +117,20 @@ def _step(batch_s):
     from nspd import baselines, bench, pd_general, pd_strong, prox
     from nspd.errors import check_finite
 
-    lad1, _ = bench.gen_lad(bench.DESK_LAD)
-    lad2, _ = bench.gen_lad(_lad2(bench))
+    inst1 = bench.make_instance(bench.DESK_LAD)
+    inst2 = bench.make_instance(_lad2(bench))
+    lad1, lad2 = inst1.problem, inst2.problem
     n, p = lad1.n, lad1.p
     gen_sched = pd_general.GeneralSchedule(c=2.0, gamma=0.999,
                                            rho0=1.0 / lad1.K.norm,
                                            norm_K=lad1.K.norm)
-    gen_state = pd_general.init_state(lad1, np.zeros(p), np.zeros(n))
+    gen_state = pd_general.init_state(lad1, inst1.x0, inst1.y0)
     strong_sched = pd_strong.StrongSchedule(case=2, gamma=0.75, mu_f=lad2.f.mu,
                                             norm_K=lad2.K.norm, c=4.0)
-    strong_state = pd_strong.init_state(lad2, np.zeros(p), np.zeros(n))
-    cp_state = baselines.init_cp_state(lad1, np.zeros(p), np.zeros(n), 1.0,
+    strong_state = pd_strong.init_state(lad2, inst2.x0, inst2.y0)
+    cp_state = baselines.init_cp_state(lad1, inst1.x0, inst1.y0, 1.0,
                                        1.0 / lad1.K.norm ** 2)
-    scvx_state = baselines.init_cp_state(lad2, np.zeros(p), np.zeros(n),
+    scvx_state = baselines.init_cp_state(lad2, inst2.x0, inst2.y0,
                                          1.0 / lad2.K.norm, 1.0 / lad2.K.norm)
 
     rng = np.random.default_rng(0)
@@ -162,23 +166,22 @@ def _step(batch_s):
     return _us(kernels, batch_s)
 
 
-def _solve_kernels(name, problem, solve, opts, make_recorder, csv):
+def _solve_kernels(name, inst, solve, opts, csv):
     """A recorder call on what the driver hands it at the last step, and
-    the solve bare and recorded, its trace written to ``csv``."""
+    the solve bare and recorded, on ``bench.make_instance``'s problem,
+    start point and recorder, its trace written to ``csv``."""
     from nspd import metrics
 
-    uniform = name == "game_paper"
-    x0 = np.full(problem.p, 1.0 / problem.p if uniform else 0.0)
-    y0 = np.full(problem.n, 1.0 / problem.n if uniform else 0.0)
+    problem, x0, y0 = inst.problem, inst.x0, inst.y0
     seen = {}
     solve(problem, x0, y0, opts, recorder=lambda k, x, y, t, **products:
           seen.update(x=x.copy(), y=y.copy(), products={
               key: v.copy() for key, v in products.items()}))
-    rec, ks = make_recorder(metrics.Trace()), itertools.count(1)
+    rec, ks = inst.recorder(metrics.Trace()), itertools.count(1)
 
     def recorded():
         trace = metrics.Trace()
-        solve(problem, x0, y0, opts, recorder=make_recorder(trace))
+        solve(problem, x0, y0, opts, recorder=inst.recorder(trace))
         trace.to_csv(csv)
 
     return {f"record.{name}_us": lambda: rec(next(ks), seen["x"], seen["y"],
@@ -190,22 +193,18 @@ def _solve_kernels(name, problem, solve, opts, make_recorder, csv):
 def _record(batch_s):
     from nspd import bench, metrics, pd_general, pd_strong
 
-    lad1, _ = bench.gen_lad(bench.DESK_LAD)
-    lad2, _ = bench.gen_lad(_lad2(bench))
-    game = bench.gen_game(bench.PAPER_GAME)
+    lad1 = bench.make_instance(bench.DESK_LAD)
+    game = bench.make_instance(bench.PAPER_GAME)
     lad1_opts = pd_general.GeneralOptions(c=2.0, gamma=0.999,
-                                          rho0=1.0 / lad1.K.norm, max_iters=100)
+                                          rho0=1.0 / lad1.problem.K.norm,
+                                          max_iters=100)
     solves = {
-        "lad1": (lad1, pd_general.solve, lad1_opts,
-                 lambda trace: metrics.composite_recorder(lad1, trace)),
-        "lad2": (lad2, pd_strong.solve, pd_strong.StrongOptions(
-            case=2, gamma=0.75, c=4.0, max_iters=100),
-            lambda trace: metrics.composite_recorder(lad2, trace)),
-        "game_paper": (game.to_composite(), pd_general.solve,
-                       pd_general.GeneralOptions(c=1.0, gamma=0.5,
-                                                 rho0=1.0 / game.K.norm,
-                                                 max_iters=10),
-                       lambda trace: metrics.game_recorder(game, trace)),
+        "lad1": (lad1, pd_general.solve, lad1_opts),
+        "lad2": (bench.make_instance(_lad2(bench)), pd_strong.solve,
+                 pd_strong.StrongOptions(case=2, gamma=0.75, c=4.0,
+                                         max_iters=100)),
+        "game_paper": (game, pd_general.solve, pd_general.GeneralOptions(
+            c=1.0, gamma=0.5, rho0=1.0 / game.problem.K.norm, max_iters=10)),
     }
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "trace.csv")
@@ -213,8 +212,8 @@ def _record(batch_s):
         for name, solve in solves.items():
             kernels.update(_solve_kernels(name, *solve, csv))
         rows = metrics.Trace()
-        pd_general.solve(lad1, np.zeros(lad1.p), np.zeros(lad1.n), lad1_opts,
-                         recorder=metrics.composite_recorder(lad1, rows))
+        pd_general.solve(lad1.problem, lad1.x0, lad1.y0, lad1_opts,
+                         recorder=lad1.recorder(rows))
         kernels["trace.to_csv_100_us"] = lambda: rows.to_csv(csv)
         return _us(kernels, batch_s)
 

@@ -137,8 +137,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--max-iters", type=int, default=10_000)
     # unused, as the oracle takes no budget; perfbench/workloads.py passes it
     p_run.add_argument("--reference-budget", type=int, help=argparse.SUPPRESS)
-    p_run.add_argument("--trace-every", default=1,
-                       type=lambda s: s if s == "log" else int(s))
+    # a non-integer goes on to ExperimentSpec, whose check names the rule
+    p_run.add_argument("--trace-every", default=1, type=lambda s: int(s)
+                       if s.removeprefix("-").isdecimal() else s)
     p_run.add_argument("--out", default="runs")
     p_run.add_argument("--check", action="store_true",
                        help="exit 2 when a certificate is violated or a "

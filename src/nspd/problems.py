@@ -71,9 +71,6 @@ class EqConstrainedProblem:
     def objective(self, x) -> float:
         return self.f.value(x) + self.psi.value(x)
 
-    def feasibility(self, x) -> float:
-        return float(np.linalg.norm(self.K.apply(x) - self.b))
-
 
 @dataclass(frozen=True)
 class SemiStrongProblem:
@@ -112,9 +109,6 @@ class SemiStrongProblem:
     def objective(self, x, w) -> float:
         return self.f.value(x) + self.psi.value(w)
 
-    def feasibility(self, x, w) -> float:
-        return float(np.linalg.norm(self.K.apply(x) + self.B.apply(w) - self.b))
-
 
 def neg_identity(n: int) -> LinearMap:
     """The map w -> -w, tagged so the semi-strong w-step takes its closed
@@ -125,7 +119,8 @@ def neg_identity(n: int) -> LinearMap:
 
 @dataclass(frozen=True)
 class MatrixGame:
-    """min over the p-simplex of max over the n-simplex of <Kx, y>."""
+    """min over the p-simplex of max over the n-simplex of <Kx, y>; its
+    F(x) = max(Kx) and G(y) = -min(K^T y) are those of :meth:`to_composite`."""
 
     K: LinearMap
 
@@ -142,9 +137,3 @@ class MatrixGame:
         function, whose conjugate prox is the simplex projection."""
         return CompositeProblem(simplex_indicator(self.p),
                                 simplex_support(self.n), self.K)
-
-    def primal_value(self, x) -> float:
-        return float(np.max(self.K.apply(x)))
-
-    def dual_value(self, y) -> float:
-        return -float(np.min(self.K.adjoint_apply(y)))

@@ -226,14 +226,19 @@ def point_indicator(b: np.ndarray) -> ProxFunction:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the standard simplex (sort-and-threshold)."""
+    """Euclidean projection onto the standard simplex (sort-and-threshold).
+    With no positive candidate (max(v) past ~1e16 rounded the 1 away, or v
+    is not finite) it projects v - max(v), the same point, or gives NaNs."""
     v = np.asarray(v, dtype=float)
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, v.size + 1)
     cand = u - css / idx
-    rho = np.nonzero(cand > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
+    rho = np.nonzero(cand > 0)[0]
+    if not rho.size:  # u[0] is NaN when v holds one
+        return (project_simplex(v - u[0]) if np.isfinite(u[0])
+                else np.full_like(v, np.nan))
+    theta = css[rho[-1]] / (rho[-1] + 1.0)
     return np.maximum(v - theta, 0.0)
 
 

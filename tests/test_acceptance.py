@@ -129,17 +129,15 @@ def lad2_runs(lad2):
 
 @pytest.fixture(scope="module")
 def game_runs():
-    game = bench.gen_game(bench.GameConfig(seed=SEED))
-    x0 = np.full(game.p, 1.0 / game.p)
-    y0 = np.full(game.n, 1.0 / game.n)
-    problem = game.to_composite()
-    runs = {"game": game}
+    inst = bench.make_instance(bench.GameConfig(seed=SEED))
+    runs = {}
     for c in (1.0, 2.0):
         trace = metrics.Trace()
-        opts = pd_general.GeneralOptions(c=c, gamma=0.5, rho0=1.0 / game.K.norm,
-                                      max_iters=MAX_ITERS)
-        pd_general.solve(problem, x0, y0, opts,
-                         recorder=metrics.game_recorder(game, trace))
+        opts = pd_general.GeneralOptions(c=c, gamma=0.5,
+                                         rho0=1.0 / inst.problem.K.norm,
+                                         max_iters=MAX_ITERS)
+        pd_general.solve(inst.problem, inst.x0, inst.y0, opts,
+                         recorder=inst.recorder(trace))
         runs[f"alg_c{int(c)}"] = trace
     return runs
 

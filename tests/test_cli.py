@@ -1,6 +1,7 @@
 """CLI smoke tests."""
 
 import json
+import re
 import signal
 
 import numpy as np
@@ -86,15 +87,18 @@ def test_cli_plotdata(tmp_path, capsys):
     assert first[1] == pytest.approx(0.0)  # log10(1.0)
 
 
-@pytest.mark.parametrize("option, quantity", [("--max-iters", "max_iters"),
-                                              ("--trace-every", "trace_every")])
-def test_cli_run_refuses_a_bad_option_as_a_usage_error(option, quantity,
+@pytest.mark.parametrize("option, value, quantity", [
+    ("--max-iters", "0", "max_iters"), ("--trace-every", "0", "trace_every"),
+    ("--trace-every", "abc", "trace_every")], ids=[
+    "--max-iters-max_iters", "--trace-every-trace_every", "--trace-every-abc"])
+def test_cli_run_refuses_a_bad_option_as_a_usage_error(option, value, quantity,
                                                        tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:
-        cli.main(["run", "game", option, "0", "--out", str(tmp_path)])
+        cli.main(["run", "game", option, value, "--out", str(tmp_path)])
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert f"nspd run: error: {quantity} must be" in err
+    assert f"got {int(value) if value.isdigit() else value!r}" in err
     assert "Traceback" not in err and not (tmp_path / "report.json").exists()
 
 
@@ -323,6 +327,31 @@ def test_cli_solve_reports_divergence(tmp_path, capsys):
     assert "divergence" in err and "iteration 1" in err
     tr = metrics.Trace.from_csv(tmp_path / "trace.csv")
     assert tr.k == [1]  # the record made before the failing step
+
+
+@pytest.mark.parametrize("solver, code", [
+    ({"method": "pd_general", "rho0": 1e17}, 0),
+    ({"method": "pd_general", "rho0": 1e200}, 0),
+    ({"method": "admm", "rho": 1e308}, 0),
+    ({"method": "pd_general", "rho0": 1e308}, 4),
+    ({"method": "cp", "rho": 1e-308}, 4)])
+def test_cli_solve_game_with_an_extreme_penalty(solver, code, tmp_path,
+                                                 capsys):
+    # the simplex projection sees entries past 1e16, or non-finite ones
+    cfg = {"problem": {"kind": "game", "n": 20, "p": 30},
+           "solver": solver | {"max_iters": 200},
+           "out": str(tmp_path / "trace.csv")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert cli.main(["solve", "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 4:
+        assert re.search(r"non-finite iterate \w+ \(iteration \d+\)", err)
+    else:
+        trace = metrics.Trace.from_csv(tmp_path / "trace.csv")
+        assert np.isfinite(trace.F).all()
 
 
 def test_cli_solve_reports_inner_solver_failure(tmp_path, capsys,

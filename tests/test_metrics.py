@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nspd
-from nspd import bench, metrics, prox
+from nspd import baselines, bench, metrics, pd_general, prox
 from nspd.errors import (CertificateUnavailableError, OracleFailureError,
                          UnsupportedMetricError)
 from nspd.linop import LinearMap
@@ -404,6 +404,76 @@ def test_recorder_skips_g_conjugate_when_f_conjugate_is_infinite(rng):
     record(2, x, y, 0.0)  # no K^T y handed over: g* first
     assert trace.G == [math.inf, math.inf] and calls == [1]
     assert trace.gap == [math.inf, math.inf]
+
+
+# -- the game's record contract ------------------------------------------------------
+
+def _small_game():
+    return bench.make_instance(bench.GameConfig(n=30, p=40, seed=3))
+
+
+def test_game_recorder_is_the_composite_formulas_on_fresh_products():
+    """F, G and the gap of a game record equal, bit for bit, those of
+    composite_recorder on the composite form fed no products."""
+    inst = _small_game()
+    opts = [pd_general.GeneralOptions(c=c, gamma=0.5,
+                                      rho0=1.0 / inst.problem.K.norm,
+                                      max_iters=200) for c in (1.0, 2.0)]
+    solves = [lambda rec, o=o: pd_general.solve(
+        inst.problem, inst.x0, inst.y0, o, recorder=rec) for o in opts]
+    solves.append(lambda rec: baselines.smoothing_solve(inst.game, 0.05,
+                                                        recorder=rec))
+    for solve in solves:
+        game_trace, composite_trace = Trace(), Trace()
+        game_record = inst.recorder(game_trace)
+        composite_record = metrics.composite_recorder(
+            inst.game.to_composite(), composite_trace)
+
+        def both(k, x, y, t, **products):
+            game_record(k, x, y, t, **products)
+            composite_record(k, x, y, t)
+
+        solve(both)
+        assert len(game_trace) > 10 and np.isfinite(game_trace.gap).all()
+        for name in ("F", "G", "gap"):
+            assert (game_trace.column(name).tobytes()
+                    == composite_trace.column(name).tobytes())
+
+
+def test_game_record_makes_one_product_each_way_handed_or_not():
+    inst = _small_game()
+    K, calls = inst.problem.K, {"apply": 0, "adjoint_apply": 0}
+
+    def counted(name):
+        def call(v):
+            calls[name] += 1
+            return getattr(K, name)(v)
+        return call
+
+    counting = LinearMap(K.rows, K.cols, counted("apply"),
+                         counted("adjoint_apply"), norm_estimate=K.norm)
+    game = MatrixGame(counting)
+    record = metrics.game_recorder(game, Trace())
+    x, y = inst.x0, inst.y0
+    record(1, x, y, 0.0)
+    assert calls == {"apply": 1, "adjoint_apply": 1}
+    record(2, x, y, 0.0, Kx=K.apply(x), Kty=K.adjoint_apply(y))
+    assert calls == {"apply": 2, "adjoint_apply": 2}
+
+
+def test_game_recorder_does_not_go_through_the_composite_attribute(
+        monkeypatch):
+    """A wrapper installed on metrics.composite_recorder (as a tracer
+    would) is not entered by a game record."""
+    inst = _small_game()
+
+    def stub(problem, trace):
+        raise AssertionError("the game recorder went through the attribute")
+
+    monkeypatch.setattr(metrics, "composite_recorder", stub)
+    trace = Trace()
+    inst.recorder(trace)(1, inst.x0, inst.y0, 0.0)
+    assert len(trace) == 1 and math.isfinite(trace.gap[0])
 
 
 def test_import_nspd_leaves_scipy_optimize_and_sparse_out():

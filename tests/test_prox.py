@@ -258,6 +258,17 @@ def test_simplex_projection_kkt_against_feasible_probes(rng):
         assert np.max((probes - u) @ (v - u)) <= 1e-9
 
 
+def test_simplex_projection_of_large_and_non_finite_input():
+    # past ~1e16 the cumulative sum rounds the simplex's 1 away; the
+    # projection shifts by max(v) instead, which leaves it unchanged
+    for v, u in (([1e20, 0.0], [1.0, 0.0]),
+                 ([1e20, 1e20, 0.0], [0.5, 0.5, 0.0])):
+        assert project_simplex(np.array(v)).tolist() == u
+    with np.errstate(invalid="ignore"):
+        for bad in ([np.nan, 0.0, 1.0], [np.inf, 0.0], [-np.inf, -np.inf]):
+            assert np.isnan(project_simplex(np.array(bad))).all()
+
+
 def test_simplex_projection_grid_oracle():
     # dim=2 exhaustive check: parametrize the simplex by t in [0,1]
     v = np.array([2.0, 0.0])
