@@ -139,22 +139,17 @@ class Trace:
 def dual_value(problem: CompositeProblem, y, Kty=None) -> float:
     """G(y) = f*(-K^T y) + g*(y); +inf when an indicator is violated.
 
-    ``Kty``, when given, is K^T y: then f* is tested first, and a +inf
-    spares g*; without it g* is tested first, and a +inf spares the product.
+    ``Kty`` is K^T y, formed here when not handed over; a +inf f*(-K^T y)
+    decides G without g*(y).
     """
-    f, g, K = problem.f, problem.g, problem.K
+    f, g = problem.f, problem.g
     if f.conjugate_value is None or g.conjugate_value is None:
         raise UnsupportedMetricError(
             "dual value needs closed-form conjugates for f and g")
-    if Kty is not None:
-        fv = f.conjugate_value(-Kty)
-        return (float(fv + g.conjugate_value(y)) if math.isfinite(fv)
-                else math.inf)
-    gv = g.conjugate_value(y)
-    if not np.isfinite(gv):
-        return float("inf")
-    fv = f.conjugate_value(-K.adjoint_apply(np.asarray(y, dtype=float)))
-    return float(fv + gv)
+    if Kty is None:
+        Kty = problem.K.adjoint_apply(np.asarray(y, dtype=float))
+    fv = f.conjugate_value(-Kty)
+    return float(fv + g.conjugate_value(y)) if math.isfinite(fv) else math.inf
 
 
 # -- recorders -----------------------------------------------------------------
@@ -522,8 +517,8 @@ def _elastic_box_dual(K, f, g, gap):
         x, y = _elastic_dual(K, b, lam, mu, y, [(-1.0, 1.0)] * b.size)
         for pair in [(x, y)] + [_kkt_polish(K, b, lam, mu, x, tau)
                                 for tau in (1e-4, 1e-6, 1e-8)]:
-            if pair is not None and gap(*pair) < best[0]:
-                best = gap(*pair), pair
+            if pair is not None and (value := gap(*pair)) < best[0]:
+                best = value, pair
         if best[0] <= 1e-11:
             break
     return best[1]
@@ -585,16 +580,19 @@ def reference_solution(problem: CompositeProblem | EqConstrainedProblem
 
     An :class:`EqConstrainedProblem` becomes (f + psi)(x) + 1_{b}(Kx) by
     ``_FOLDS``.  The exact arm for the kinds of f and g (``_EXACT_ARMS``)
-    returns a pair whose duality gap F(x) + G(y), G from :func:`dual_value`,
-    must be at most ``RESIDUAL_TOL``; for g a point indicator F is f alone
-    and ||Kx - b|| joins the residual.  With exact conjugates every feasible
-    x' has F(x') >= -G(y) >= F(x) - gap, so no method can improve on x by
-    more than the gap.  The gap is the sum of two Fenchel-Young terms,
+    returns a pair whose duality gap F(x) + G(y) must be at most
+    ``RESIDUAL_TOL``; for g a point indicator F is f alone and ||Kx - b||
+    joins the residual.  With exact conjugates every feasible x' has
+    F(x') >= -G(y) >= F(x) - gap, so no method can improve on x by more
+    than the gap.  The gap is the sum of two Fenchel-Young terms,
     FY_f = f(x) + f*(-K^T y) + <x, K^T y> and FY_g = g(Kx) + g*(y) - <Kx, y>
     (g(Kx) = 0 for a point indicator), each >= 0 when its conjugate is
     exact; a term below -``AGREE_TOL`` max(1, |F|) means a conjugate value
-    under-reports.  A failed gate, or a pair with no fold or exact arm,
-    raises :class:`OracleFailureError`.
+    under-reports.  The check reads one K x, one K^T y and one value each
+    of f, g, f* and g*, which give F, G = f*(-K^T y) + g*(y) (the sum
+    :func:`dual_value` takes) and both terms; the arm's ``gap`` reads G
+    from :func:`dual_value`.  A failed gate, or a pair with no fold or
+    exact arm, raises :class:`OracleFailureError`.
     """
     if isinstance(problem, EqConstrainedProblem):
         kinds = problem.f.kind, problem.psi.kind
@@ -618,17 +616,16 @@ def reference_solution(problem: CompositeProblem | EqConstrainedProblem
     t0 = time.perf_counter()
     x, y = arm(K.matrix, f, g, gap)
     exact_s = time.perf_counter() - t0
-    F = float(obj(x))
-    Kx = K.apply(x)
-    residual = max(gap(x, y), float(np.linalg.norm(Kx - g.params["b"]))
+    Kx, Kty = K.apply(x), K.adjoint_apply(y)
+    fx, gKx = f.value(x), 0.0 if point else g.value(Kx)
+    fc, gc = f.conjugate_value(-Kty), g.conjugate_value(y)
+    F, G = float(fx + gKx), fc + gc
+    residual = max(abs(F + G), float(np.linalg.norm(Kx - g.params["b"]))
                    if point else 0.0)
     if not residual <= RESIDUAL_TOL:
         raise OracleFailureError(f"the {exact} pair has a residual of "
                                  f"{residual:.3e}, above {RESIDUAL_TOL:.1e}")
-    Kty = K.adjoint_apply(y)
-    terms = {"FY_f": f.value(x) + f.conjugate_value(-Kty) + x @ Kty,
-             "FY_g": (0.0 if point else g.value(Kx)) + g.conjugate_value(y)
-             - Kx @ y}
+    terms = {"FY_f": fx + fc + x @ Kty, "FY_g": gKx + gc - Kx @ y}
     for name, term in terms.items():
         if not term >= -AGREE_TOL * max(1.0, abs(F)):
             raise OracleFailureError(

@@ -60,12 +60,12 @@ __all__ = [
 class StrongSchedule:
     """Parameter sequences for the strongly convex method.
 
-    Case 1 maintains tau by its recursion (the closed form does not exist)
-    and refuses a ``c``, which it would not read; Case 2 uses tau_k =
-    c/(k+c), with c = 4 when ``c`` is None.  Either way rho_k beta_k ||K||^2
-    = Gamma and eta_k = (1-gamma) rho_k < rho_k.  ``enforce_rho0_bound``,
-    True or False, says whether a ``rho0`` above :meth:`rho0_bound` is
-    refused.
+    Case 1 runs tau's recursion (it has no closed form) on from the last
+    (k, tau_k) it reached, or from tau_0 = 1 for an earlier k, and refuses
+    a ``c``, which it would not read; Case 2 uses tau_k = c/(k+c), with
+    c = 4 when ``c`` is None.  Either way rho_k beta_k ||K||^2 = Gamma and
+    eta_k = (1-gamma) rho_k < rho_k.  ``enforce_rho0_bound``, True or
+    False, says whether a ``rho0`` above :meth:`rho0_bound` is refused.
     """
 
     def __init__(self, case: int, gamma: float, mu_f: float, norm_K: float,
@@ -98,7 +98,7 @@ class StrongSchedule:
                     "rho0 <= c*(c-1)*Gamma*mu_f/((2*c-1)*norm_K^2)")
             raise ConfigurationError(
                 f"rho0 = {self.rho0:.6g} violates {ineq} = {bound:.6g}")
-        self._taus = [1.0]  # Case 1 recursion cache
+        self._tau = 0, 1.0  # Case 1: the last (k, tau_k) reached
 
     def rho0_bound(self) -> float:
         if self.case == 1:
@@ -109,10 +109,11 @@ class StrongSchedule:
     def tau(self, k: int) -> float:
         if self.case == 2:
             return self.c / (k + self.c)
-        while len(self._taus) <= k:
-            t = self._taus[-1]
-            self._taus.append(0.5 * t * (np.sqrt(t * t + 4.0) - t))
-        return self._taus[k]
+        j, t = self._tau if self._tau[0] <= k else (0, 1.0)
+        while j < k:
+            j, t = j + 1, 0.5 * t * (np.sqrt(t * t + 4.0) - t)
+        self._tau = j, t
+        return t
 
     def at(self, k: int):
         """Return (tau_k, rho_k, beta_k, eta_k)."""

@@ -65,6 +65,17 @@ def test_gen_lad_correlated_columns_keep_norms():
     assert c > 0.3
 
 
+def test_gen_lad_fully_correlated_keeps_its_first_column():
+    """With every column mixed, column 0 has no left neighbour and stays."""
+    base, _ = gen_lad(LadConfig(n=30, p=6, s=2, seed=4))
+    mixed, _ = gen_lad(LadConfig(n=30, p=6, s=2, correlated_fraction=1.0,
+                                 seed=4))
+    A0, A1 = base.K.matrix, mixed.K.matrix
+    assert np.array_equal(A1[:, 0], A0[:, 0])
+    assert not np.array_equal(A1[:, 1:], A0[:, 1:])
+    assert np.allclose(np.linalg.norm(A0, axis=0), np.linalg.norm(A1, axis=0))
+
+
 def test_gen_game_unit_norm(monkeypatch):
     game = gen_game(GameConfig(n=30, p=50, density=0.1, seed=4))
     # check the scaling independently of the estimate that set it: an SVD,

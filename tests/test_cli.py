@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from nspd import bench, cli, metrics, pd_general, prox
-from nspd.bench import GameConfig
-from nspd.errors import DivergenceError
+from nspd.bench import GameConfig, LadConfig
+from nspd.errors import DivergenceError, OracleFailureError
 
 
 def test_cli_run_game_small(tmp_path, capsys, monkeypatch):
@@ -22,6 +22,22 @@ def test_cli_run_game_small(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "pd_general_c1" in out
     assert (tmp_path / "report.json").exists()
+
+
+def test_cli_run_reports_an_oracle_failure(tmp_path, capsys, monkeypatch):
+    """A failing oracle ends the run with status 3 before any row runs."""
+    def refuse(problem):
+        raise OracleFailureError("HiGHS failed: stub")
+
+    monkeypatch.setattr(bench, "DESK_LAD", LadConfig(n=16, p=6, s=2))
+    monkeypatch.setattr(metrics, "reference_solution", refuse)
+    code = cli.main(["run", "lad-case1", "--max-iters", "20",
+                     "--out", str(tmp_path), "--check"])
+    assert code == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["oracle_error"] == "HiGHS failed: stub"
+    assert not report["oracle_ok"] and report["variants"] == []
+    assert not list(tmp_path.glob("trace_*.csv"))
 
 
 def test_cli_check_fails_when_a_certified_variant_fails(tmp_path, capsys,
@@ -352,6 +368,8 @@ def test_cli_solve_game_with_an_extreme_penalty(solver, code, tmp_path,
     else:
         trace = metrics.Trace.from_csv(tmp_path / "trace.csv")
         assert np.isfinite(trace.F).all()
+        if solver["method"] == "pd_general":  # its y stays on the simplex
+            assert np.isfinite(trace.gap).all()
 
 
 def test_cli_solve_reports_inner_solver_failure(tmp_path, capsys,

@@ -372,6 +372,24 @@ def test_load_triplets_refuses_a_fractional_index(tmp_path, text, bad):
         load_triplets(path)
 
 
+def _load_text(path, text):
+    path.write_text(text)
+    return load_triplets(path)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: LinearMap.from_dense(np.ones(3)), "2-d array"),
+    (lambda tmp: LinearMap.from_dense(np.ones((2, 2, 2))), "2-d array"),
+    (lambda tmp: LinearMap(0, 3, abs, abs), "dimensions must be positive"),
+    (lambda tmp: LinearMap(2, -1, abs, abs), "dimensions must be positive"),
+    (lambda tmp: _load_text(tmp / "m.txt", "2 2\n0 0 1.0\n"), "header"),
+    (lambda tmp: _load_text(tmp / "m.txt", ""), "header")],
+    ids=["1-d", "3-d", "no_rows", "negative_cols", "short_header", "empty"])
+def test_linop_refuses_a_malformed_operator(make, message, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        make(tmp_path)
+
+
 def test_load_triplets_sums_repeated_entries(tmp_path):
     path = tmp_path / "m.txt"
     # (0, 4) and (2, 0) are given twice, and the two (1, 1) entries cancel

@@ -217,6 +217,34 @@ def test_strong_fast_certificate_requires_c_above_two():
                                 0.1, 1.0)
 
 
+@pytest.mark.parametrize("refused", [
+    lambda: Certificate("neg", -1.0, 1, lambda k: 1.0, "1"),
+    lambda: certificate_general_fast(1.0, 0.0, np.zeros(1), np.zeros(1),
+                                     np.zeros(1), np.zeros(1), 1.0, 1.0, 0.5,
+                                     1.0),
+    lambda: certificate_general_fast(2.0, 0.0, np.zeros(1), np.zeros(1),
+                                     np.zeros(1), np.zeros(1), None, 1.0, 0.5,
+                                     1.0),
+    lambda: certificate_strong_primal(np.zeros(1), np.zeros(1), np.zeros(1),
+                                      None, 0.05, 0.75, 1.0),
+    lambda: certificate_strong_fast(4.0, 0.0, np.zeros(1), np.zeros(1),
+                                    np.zeros(1), np.zeros(1), None, 0.05,
+                                    0.75, 0.1, 1.0)],
+    ids=["negative_constant", "general_fast_c1", "general_fast_no_M_g",
+         "strong_primal_no_M_g", "strong_fast_no_M_g"])
+def test_certificate_refuses_what_it_cannot_bound(refused):
+    with pytest.raises(CertificateUnavailableError):
+        refused()
+
+
+def test_dual_value_refuses_a_function_without_a_conjugate(rng):
+    lad = lad_instance(rng)
+    problem = CompositeProblem(dataclasses.replace(
+        lad.f, conjugate_value=None), lad.g, lad.K)
+    with pytest.raises(UnsupportedMetricError, match="closed-form conjugates"):
+        metrics.dual_value(problem, np.zeros(problem.n))
+
+
 # -- rate slope ---------------------------------------------------------------------
 
 def test_rate_slope_exact_powers():
@@ -385,8 +413,38 @@ def test_reference_solution_refuses_a_constrained_pair_it_cannot_fold(rng):
         metrics.reference_solution(problem)
 
 
+@pytest.mark.parametrize("cfg", [
+    bench.DESK_LAD, bench.LadConfig(mu_f=0.1, correlated_fraction=0.5)],
+    ids=["lad_lp", "elastic_box_dual"])
+def test_reference_solution_checks_its_pair_from_one_product_each_way(
+        cfg, monkeypatch):
+    """After the exact arm returns, the final check forms K x and K^T y
+    once each."""
+    problem = bench.make_instance(cfg).problem
+    calls = {"apply": 0, "adjoint_apply": 0}
+    for name in calls:
+        def counted(self, v, _product=getattr(LinearMap, name), _name=name):
+            calls[_name] += 1
+            return _product(self, v)
+        monkeypatch.setattr(LinearMap, name, counted)
+    key = problem.f.kind, problem.g.kind
+    arm = metrics._EXACT_ARMS[key]
+
+    def arm_then_reset(*args):
+        pair = arm(*args)
+        calls.update(apply=0, adjoint_apply=0)
+        return pair
+
+    arm_then_reset.__name__ = arm.__name__
+    monkeypatch.setitem(metrics._EXACT_ARMS, key, arm_then_reset)
+    ref = metrics.reference_solution(problem)
+    assert ref.exact_arm == arm.__name__.lstrip("_")
+    assert calls == {"apply": 1, "adjoint_apply": 1}
+
+
 def test_recorder_skips_g_conjugate_when_f_conjugate_is_infinite(rng):
-    """Handed K^T y, a +inf f*(-K^T y) decides G = +inf without g*(y)."""
+    """Handed K^T y or not, a +inf f*(-K^T y) decides G = +inf without
+    g*(y)."""
     lad = lad_instance(rng)
     calls = []
 
@@ -401,8 +459,8 @@ def test_recorder_skips_g_conjugate_when_f_conjugate_is_infinite(rng):
     x, y = np.zeros(problem.p), np.full(problem.n, 10.0)
     record(1, x, y, 0.0, Kty=problem.K.adjoint_apply(y))
     assert trace.G == [math.inf] and calls == []
-    record(2, x, y, 0.0)  # no K^T y handed over: g* first
-    assert trace.G == [math.inf, math.inf] and calls == [1]
+    record(2, x, y, 0.0)  # no K^T y handed over: it is formed, f* first
+    assert trace.G == [math.inf, math.inf] and calls == []
     assert trace.gap == [math.inf, math.inf]
 
 

@@ -39,6 +39,22 @@ def test_case1_recursion_identity_to_1e12():
         assert abs((1 - t1) - t1 ** 2 / t ** 2) <= 1e-12
 
 
+def test_case1_tau_is_its_recursion_in_any_query_order():
+    """Forward, repeated and backward queries all give the recursion's
+    tau_k bit for bit, and the schedule keeps no sequence that grows."""
+    taus = [1.0]
+    for _ in range(10_000):
+        t = taus[-1]
+        taus.append(0.5 * t * (np.sqrt(t * t + 4.0) - t))
+    s = StrongSchedule(1, 0.75, mu_f=1.0, norm_K=1.0)
+    queries = [*range(10_001), *(k for k in range(0, 10_001, 7)
+                                 for _ in range(2)),
+               *range(10_000, -1, -613), 10_000, 3, 3, 9_999]
+    for k in queries:
+        assert s.tau(k) == taus[k]
+        assert all(np.size(v) <= 2 for v in vars(s).values())
+
+
 def test_case1_tau_upper_bound():
     s = StrongSchedule(1, 0.8, mu_f=1.0, norm_K=1.0)
     for k in range(0, 100_000, 997):

@@ -173,6 +173,12 @@ def test_conjugate_prox_self_conjugate_quadratic():
     assert np.allclose(conjugate_prox(h, v, 1.0), v / 2)
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0])
+def test_conjugate_prox_refuses_a_non_positive_rho(rho):
+    with pytest.raises(ValueError, match="rho must be positive"):
+        conjugate_prox(squared_l2(3, 1.0), np.zeros(3), rho)
+
+
 def test_conjugate_prox_l1_clamps():
     h = l1_norm(2, 1.0)
     out = conjugate_prox(h, np.array([2.0, -0.5]), 1.0)
@@ -259,10 +265,12 @@ def test_simplex_projection_kkt_against_feasible_probes(rng):
 
 
 def test_simplex_projection_of_large_and_non_finite_input():
-    # past ~1e16 the cumulative sum rounds the simplex's 1 away; the
+    # from 2^52 the cumulative sum rounds the simplex's 1 away; the
     # projection shifts by max(v) instead, which leaves it unchanged
     for v, u in (([1e20, 0.0], [1.0, 0.0]),
-                 ([1e20, 1e20, 0.0], [0.5, 0.5, 0.0])):
+                 ([1e20, 1e20, 0.0], [0.5, 0.5, 0.0]),
+                 (1e17 + np.array([-208.0, -16.0, -32.0, -32.0, -48.0]),
+                  [0.0, 1.0, 0.0, 0.0, 0.0])):
         assert project_simplex(np.array(v)).tolist() == u
     with np.errstate(invalid="ignore"):
         for bad in ([np.nan, 0.0, 1.0], [np.inf, 0.0], [-np.inf, -np.inf]):
