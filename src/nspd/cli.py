@@ -59,6 +59,8 @@ def _cmd_run(args) -> int:
         print(f"{v['label']:<24} final={v['final_metric']:.3e} "
               f"slope={slope_s}  {status}")
     print(f"report written to {spec.out_dir}/report.json")
+    if report["exit_code"] == 3:
+        print(f"oracle failure: {report['oracle_error']}", file=sys.stderr)
     return report["exit_code"]
 
 

@@ -194,11 +194,6 @@ class LinearMap:
         Estimate of the spectral norm.  If omitted it is computed lazily on
         first access of :attr:`norm` by :func:`estimate_norm`, which returns
         a *lower* estimate (a Ritz value) converged to its ``tol``.
-    kind : str
-        Construction tag ("dense", "neg_identity", "custom");
-        "neg_identity" (set by :func:`nspd.problems.neg_identity`) selects
-        the closed-form semi-strong w-step, so a map that is not exactly -I
-        must not carry it.
 
     The solvers use K only through :meth:`apply` and :meth:`adjoint_apply`;
     :attr:`matrix` is the one way to read K as an array.  Both products are
@@ -209,8 +204,7 @@ class LinearMap:
     first use.
     """
 
-    def __init__(self, rows, cols, forward, adjoint, *, norm_estimate=None,
-                 kind="custom"):
+    def __init__(self, rows, cols, forward, adjoint, *, norm_estimate=None):
         if rows <= 0 or cols <= 0:
             raise ValueError("operator dimensions must be positive")
         self.rows = int(rows)
@@ -218,7 +212,6 @@ class LinearMap:
         self._forward = forward
         self._adjoint = adjoint
         self._norm = None if norm_estimate is None else float(norm_estimate)
-        self.kind = kind
         self._stored = None  # the matrix kept, if any: ndarray or scipy CSR
 
     @property
@@ -268,9 +261,8 @@ class LinearMap:
         ``_CSR_MAX_DENSITY`` (15%) share of them nonzero: then through a CSR
         copy of ``A`` and a CSR copy of its transpose, built once here from
         ``A`` itself, and no dense copy is kept (``matrix`` is rebuilt from
-        the CSR copy on each access).  Either way ``kind`` is ``"dense"``,
-        later writes to ``A`` do not reach the map, and the two kernels
-        differ only in rounding.
+        the CSR copy on each access).  Either way later writes to ``A`` do
+        not reach the map, and the two kernels differ only in rounding.
         """
         A, csr = _storage(A)
         if A is not None:
@@ -317,8 +309,7 @@ class LinearMap:
             S, St = csr
             forward, adjoint = _csr_product(S), _csr_product(St)
             stored = S
-        m = cls(stored.shape[0], stored.shape[1], forward, adjoint,
-                norm_estimate=norm_estimate, kind="dense")
+        m = cls(*stored.shape, forward, adjoint, norm_estimate=norm_estimate)
         m._stored = stored
         return m
 

@@ -21,7 +21,7 @@ ones produced by that elimination, so both forms generate identical iterates
 
 :func:`semistrong_step` extends the method to min f(x) + psi(w) subject to
 Kx + Bw = b where only f is strongly convex; the w-subproblem is solved
-rather than linearized: exactly when B is the tagged
+rather than linearized: exactly when B comes from
 :func:`nspd.problems.neg_identity`, else by the accelerated
 proximal-gradient loop :func:`nspd.prox.apg` to ``nspd.prox.APG_TOL``.
 """
@@ -229,9 +229,9 @@ def init_semistrong_state(problem: SemiStrongProblem, x0, w0, y0) -> SemiStrongS
 def _solve_w_subproblem(problem: SemiStrongProblem, rho, nu0, K_xhat, w_hat,
                         y_tilde, w_start):
     """Minimize psi(w) + <B^T y~, w> + (rho/2)||K x^ + Bw - b||^2
-    + (nu0/2)||w - w^||^2, exactly for B = -I, else by inner APG."""
+    + (nu0/2)||w - w^||^2, exactly for a neg_identity B, else by APG."""
     psi, B, b = problem.psi, problem.B, problem.b
-    if B.kind == "neg_identity":
+    if problem.B_is_neg_identity:
         # B = -I: the quadratic collapses to (rho+nu0)/2 ||w - m||^2 - <y~, w>
         m = (rho * (K_xhat - b) + nu0 * w_hat) / (rho + nu0)
         return psi.prox(m + y_tilde / (rho + nu0), 1.0 / (rho + nu0))

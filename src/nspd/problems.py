@@ -76,7 +76,7 @@ class EqConstrainedProblem:
 class SemiStrongProblem:
     """min_{x,w} f(x) + psi(w) subject to Kx + Bw = b, f strongly convex.
 
-    The w-subproblem takes one prox of psi when B is the tagged
+    The w-subproblem takes one prox of psi when B comes from
     :func:`neg_identity`; for any other B it runs the accelerated
     proximal-gradient loop :func:`nspd.prox.apg` to ``nspd.prox.APG_TOL``
     on the gradient-mapping norm, for at most ``nspd.prox.APG_MAX_STEPS``
@@ -99,22 +99,29 @@ class SemiStrongProblem:
         if self.psi.dim != self.B.cols:
             raise ConfigurationError("psi and B disagree on the w dimension")
 
+    @property
+    def B_is_neg_identity(self) -> bool:
+        """Whether B comes from :func:`neg_identity` (another -I does not)."""
+        return isinstance(self.B, _NegIdentity)
+
     def resolved_nu0(self) -> float:
         if self.nu0 is not None:
             return float(self.nu0)
         # -Identity is injective: the quadratic coupling already makes the
         # w-subproblem strongly convex, no proximal regularization needed.
-        return 0.0 if self.B.kind == "neg_identity" else 1.0
+        return 0.0 if self.B_is_neg_identity else 1.0
 
     def objective(self, x, w) -> float:
         return self.f.value(x) + self.psi.value(w)
 
 
+class _NegIdentity(LinearMap):
+    """The type of :func:`neg_identity`'s maps."""
+
+
 def neg_identity(n: int) -> LinearMap:
-    """The map w -> -w, tagged so the semi-strong w-step takes its closed
-    form."""
-    return LinearMap(n, n, lambda x: -x, lambda y: -y, norm_estimate=1.0,
-                     kind="neg_identity")
+    """The map w -> -w, whose semi-strong w-step takes its closed form."""
+    return _NegIdentity(n, n, lambda x: -x, lambda y: -y, norm_estimate=1.0)
 
 
 @dataclass(frozen=True)

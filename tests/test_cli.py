@@ -34,6 +34,8 @@ def test_cli_run_reports_an_oracle_failure(tmp_path, capsys, monkeypatch):
     code = cli.main(["run", "lad-case1", "--max-iters", "20",
                      "--out", str(tmp_path), "--check"])
     assert code == 3
+    err = capsys.readouterr().err
+    assert "oracle failure: HiGHS failed: stub\n" in err
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["oracle_error"] == "HiGHS failed: stub"
     assert not report["oracle_ok"] and report["variants"] == []

